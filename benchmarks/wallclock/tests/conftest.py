@@ -1,0 +1,16 @@
+"""The benchmark's own tests; run them explicitly:
+
+    python3 -m pytest benchmarks/wallclock/tests
+
+(they are outside tier-1's ``testpaths``)."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+ROOT = os.path.dirname(os.path.dirname(BENCH))
+
+for path in (os.path.join(ROOT, "src"), BENCH):
+    if path not in sys.path:
+        sys.path.insert(0, path)
