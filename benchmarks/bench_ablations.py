@@ -18,6 +18,7 @@ from repro.harness.ablations import (
 from repro.harness.costs import DEFAULT_COST_MODEL
 from repro.harness.runner import get_all_runs
 from repro.harness.tables import render_table
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.workloads import BY_NAME
 
@@ -88,7 +89,7 @@ def test_ablation_interval_coalescing(benchmark, bench_profile, save_result):
         env = Environment()
         workload.prepare_env(env, bench_profile)
         machine = ReplicatedJVM(workload.compile(bench_profile), env=env,
-                                strategy="lock_sync")
+                                config=ReplicationConfig(strategy="lock_sync"))
         result = machine.run(workload.main_class)
         assert result.final_result.ok
         machine.channel.flush()

@@ -8,6 +8,7 @@ implemented): post-crash recovery work vs a cold backup.
 
 from repro.env.environment import Environment
 from repro.harness.tables import render_table
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.workloads import BY_NAME
 
@@ -16,7 +17,7 @@ def _run_strategy(workload, profile, strategy, **kw):
     env = Environment()
     workload.prepare_env(env, profile)
     machine = ReplicatedJVM(workload.compile(profile), env=env,
-                            strategy=strategy, **kw)
+                            config=ReplicationConfig(strategy=strategy, **kw))
     result = machine.run(workload.main_class)
     assert result.final_result.ok
     machine.channel.flush()
@@ -76,7 +77,7 @@ def test_extension_hot_backup_recovery(benchmark, bench_profile, save_result):
         env = Environment()
         workload.prepare_env(env, bench_profile)
         probe = ReplicatedJVM(workload.compile(bench_profile), env=env,
-                              strategy="lock_sync")
+                              config=ReplicationConfig(strategy="lock_sync"))
         probe.run(workload.main_class)
         crash_at = probe.shipper.injector.events - 1
 
@@ -84,10 +85,11 @@ def test_extension_hot_backup_recovery(benchmark, bench_profile, save_result):
         for hot in (False, True):
             env = Environment()
             workload.prepare_env(env, bench_profile)
-            machine = ReplicatedJVM(
-                workload.compile(bench_profile), env=env,
-                strategy="lock_sync", hot_backup=hot, crash_at=crash_at,
-            )
+            machine = ReplicatedJVM(workload.compile(bench_profile), env=env,
+                                    config=ReplicationConfig(
+                                        strategy="lock_sync",
+                                        hot_backup=hot,
+                                        crash_at=crash_at))
             outcome = machine.run(workload.main_class)
             assert outcome.failed_over and outcome.final_result.ok
             total = machine.backup_jvm.instructions

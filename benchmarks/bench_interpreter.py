@@ -121,6 +121,7 @@ def _compile(kernel, reps):
 def _run_cell(registry, engine, mode):
     """One (kernel, engine, mode) measurement."""
     from repro.env.environment import Environment
+    from repro.replication.config import ReplicationConfig
     from repro.replication.machine import ReplicatedJVM, run_unreplicated
     from repro.runtime.jvm import JVMConfig
 
@@ -138,9 +139,10 @@ def _run_cell(registry, engine, mode):
         instructions = result.instructions
         digest = jvm.state_digest()
     else:
-        machine = ReplicatedJVM(
-            registry, env=Environment(), strategy=mode, jvm_config=config,
-        )
+        machine = ReplicatedJVM(registry, env=Environment(),
+                                config=ReplicationConfig(
+                                    strategy=mode,
+                                    jvm_config=config))
         result = machine.run("Main")
         elapsed = time.perf_counter() - start
         if result.outcome != "primary_completed":

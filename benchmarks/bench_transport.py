@@ -14,6 +14,7 @@ RTT, so the per-commit wait jumps disproportionately.
 """
 
 from repro.harness.tables import render_table
+from repro.replication.config import ReplicationConfig
 from repro.replication.transport import FaultProfile, FaultyTransport
 
 #: Injected one-way latencies, in virtual-clock ticks.
@@ -107,12 +108,14 @@ def _chained_failover(latency, *, crash_at=12, chunk_bytes=256, seed=23):
     group = ReplicaGroup(
         compile_program(_CKPT_SOURCE),
         env=Environment(),
-        strategy="lock_sync",
-        crash_schedule={0: crash_at},
-        transport=lambda generation: FaultyTransport(
-            profile, seed=seed + 97 * generation),
-        chunk_bytes=chunk_bytes,
-        batch_records=1,
+        config=ReplicationConfig(
+            strategy="lock_sync",
+            crash_schedule={0: crash_at},
+            transport=lambda generation: FaultyTransport(
+                profile, seed=seed + 97 * generation),
+            chunk_bytes=chunk_bytes,
+            batch_records=1,
+        ),
     )
     return group, group.run("Main")
 

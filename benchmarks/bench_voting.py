@@ -108,7 +108,7 @@ def _run_voting(workload, n_members, cost):
     )
     result = group.run(workload.main_class)
     assert result.outcome == "completed", result.outcome
-    pm = result.reports[0].proposer_metrics
+    pm = result.reports[0].primary_metrics
     gm = result.metrics
     # The proposer's own counters carry no ballot traffic (the tally is
     # group-owned), so the two components never double-count.

@@ -154,7 +154,7 @@ def byzantine_reference(spec: Dict[str, Any]) -> ByzantineReference:
     reference.digest_epochs = sorted(
         cert.index[0] for cert in certs if cert.subject == "digest"
     )
-    metrics = probe.reports[0].proposer_metrics
+    metrics = probe.reports[0].primary_metrics
     reference.final_epoch = metrics.schedule_records
     reference.output_ordinals = list(range(metrics.output_commits))
     return reference

@@ -285,13 +285,8 @@ class Fleet:
                 for r in group.reports if r.recovery_metrics is not None
             )
             for report in group.reports:
-                # GenerationReport calls it primary_metrics; an era's
-                # EraReport calls it proposer_metrics.
-                for replica_metrics in (
-                    getattr(report, "primary_metrics", None)
-                    or getattr(report, "proposer_metrics", None),
-                    report.recovery_metrics,
-                ):
+                for replica_metrics in (report.primary_metrics,
+                                        report.recovery_metrics):
                     if replica_metrics is not None:
                         sm.absorb_replica_counters(replica_metrics)
             if self.voting:

@@ -7,9 +7,8 @@ call site.  :class:`ReplicationConfig` is the single object that now
 carries all of it: construct machines as
 ``ReplicatedJVM(registry, env=env, config=ReplicationConfig(...))``.
 
-The old keyword arguments still work through a deprecation shim (they
-are merged into the config and a :class:`DeprecationWarning` is
-emitted); see DESIGN.md for the migration note.
+There is no keyword-argument path: an option that is not a
+:class:`ReplicationConfig` field is a ``TypeError`` at the call site.
 """
 
 from __future__ import annotations
@@ -93,10 +92,6 @@ class ReplicationConfig:
     settings_for: Optional[Callable[[int], ReplicaSettings]] = None
     #: Checkpoint transfer chunk size (None = DEFAULT_CHUNK_BYTES).
     chunk_bytes: Optional[int] = None
-    #: Number of recovery bases maintained from the checkpoint stream.
-    #: Every adopted checkpoint re-arms all k bases, so after a crash
-    #: any of them can seed the next generation's backup.
-    k_backups: int = 1
 
     # -- voting only (VotingGroup) --------------------------------------
     #: Byzantine mode: run ``n_members = 2f+1`` replicas that ballot on
@@ -142,20 +137,3 @@ class ReplicationConfig:
             )
         return replace(self, **overrides)
 
-
-def config_from_kwargs(config: Optional[ReplicationConfig],
-                       kwargs: dict, *, owner: str) -> ReplicationConfig:
-    """The deprecation shim: fold legacy constructor keywords into a
-    config, warning once per call site."""
-    base = config or ReplicationConfig()
-    if kwargs:
-        import warnings
-
-        warnings.warn(
-            f"passing replication options to {owner} as keyword "
-            f"arguments is deprecated; pass "
-            f"config=ReplicationConfig(...) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-        base = base.merged(**kwargs)
-    return base

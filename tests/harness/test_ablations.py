@@ -7,6 +7,7 @@ from repro.harness.ablations import (
     tracking_sweep,
 )
 from repro.harness.costs import CostModel
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.metrics import ReplicationMetrics
 from repro.workloads import BY_NAME
@@ -52,7 +53,7 @@ def test_coalesce_on_real_run():
     env = Environment()
     workload.prepare_env(env, "test")
     machine = ReplicatedJVM(workload.compile("test"), env=env,
-                            strategy="lock_sync")
+                            config=ReplicationConfig(strategy="lock_sync"))
     machine.run(workload.main_class)
     machine.channel.flush()
     count, intervals = coalesce_lock_records(machine.channel.backup_log())

@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.conform.workloads import get_workload, workload_names
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM, run_unreplicated
 from repro.runtime.jvm import JVM, JVMConfig, RunHooks
 from repro.runtime.stdlib import default_natives
@@ -122,8 +123,11 @@ def test_replicated_shipped_logs_identical(workload_name, strategy):
     observed = {}
     for engine in ENGINES:
         machine = ReplicatedJVM(
-            workload.registry(), env=Environment(), strategy=strategy,
-            jvm_config=_config(engine, workload.jvm_config(engine)),
+            workload.registry(), env=Environment(),
+            config=ReplicationConfig(
+                strategy=strategy,
+                jvm_config=_config(engine, workload.jvm_config(engine)),
+            ),
         )
         result = machine.run(workload.main_class)
         assert result.outcome == "primary_completed", result.outcome

@@ -12,6 +12,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import ReproError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 
 FILE_IO_PROGRAM = """
@@ -32,7 +33,7 @@ class Main {
 def _reference(strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(FILE_IO_PROGRAM), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     result = machine.run("Main")
     assert result.outcome == "primary_completed"
     return env.snapshot_stable(), machine.shipper.injector.events
@@ -44,10 +45,10 @@ def test_crash_sweep_exactly_once(strategy):
     assert total_events > 20
     for crash_at in range(1, total_events + 1):
         env = Environment()
-        machine = ReplicatedJVM(
-            compile_program(FILE_IO_PROGRAM), env=env,
-            strategy=strategy, crash_at=crash_at,
-        )
+        machine = ReplicatedJVM(compile_program(FILE_IO_PROGRAM), env=env,
+                                config=ReplicationConfig(
+                                    strategy=strategy,
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.failed_over, crash_at
         assert result.final_result.ok, (crash_at, result.final_result.uncaught)
@@ -57,7 +58,9 @@ def test_crash_sweep_exactly_once(strategy):
 def test_failover_reports_detection_and_crash_event():
     env = Environment()
     machine = ReplicatedJVM(compile_program(FILE_IO_PROGRAM), env=env,
-                            strategy="lock_sync", crash_at=10)
+                            config=ReplicationConfig(
+                                strategy="lock_sync",
+                                crash_at=10))
     result = machine.run("Main")
     assert result.failed_over
     assert result.crash_event == 10
@@ -85,7 +88,7 @@ def test_backup_adopts_nondeterministic_inputs():
     # backup replays and must print the PRIMARY's clock value.
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="lock_sync")
+                            config=ReplicationConfig(strategy="lock_sync"))
     machine.run("Main")
     reference = env.console.transcript()
     events = machine.shipper.injector.events
@@ -93,7 +96,9 @@ def test_backup_adopts_nondeterministic_inputs():
     for crash_at in range(1, events + 1):
         env = Environment()
         machine = ReplicatedJVM(compile_program(source), env=env,
-                                strategy="lock_sync", crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    strategy="lock_sync",
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok
         lines = env.console.lines()
@@ -131,7 +136,7 @@ def test_volatile_fd_state_restored_across_failover():
     for crash_at in range(1, events + 1):
         env = Environment()
         machine = ReplicatedJVM(compile_program(source), env=env,
-                                crash_at=crash_at)
+                                config=ReplicationConfig(crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.fs.contents("data.bin") == "AAAABBBBCCCC", crash_at
@@ -172,7 +177,7 @@ def test_file_reads_replay_identically():
     for crash_at in range(1, events + 1, 2):
         env = fresh_env()
         machine = ReplicatedJVM(compile_program(source), env=env,
-                                crash_at=crash_at)
+                                config=ReplicationConfig(crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.snapshot_stable() == reference, crash_at
@@ -204,7 +209,8 @@ def test_multithreaded_racefree_failover(strategy):
     """
     expected = "total=12120\n"
     env0 = Environment()
-    m0 = ReplicatedJVM(compile_program(source), env=env0, strategy=strategy)
+    m0 = ReplicatedJVM(compile_program(source), env=env0,
+                       config=ReplicationConfig(strategy=strategy))
     m0.run("Main")
     assert env0.console.transcript() == expected
     events = m0.shipper.injector.events
@@ -213,7 +219,9 @@ def test_multithreaded_racefree_failover(strategy):
     for crash_at in range(1, events + 1, step):
         env = Environment()
         machine = ReplicatedJVM(compile_program(source), env=env,
-                                strategy=strategy, crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    strategy=strategy,
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.console.transcript() == expected, crash_at

@@ -10,6 +10,7 @@ import pytest
 
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 
 PIPELINE = """
@@ -70,7 +71,7 @@ EXPECTED = "total=650\n"  # sum of squares 1..12
 def test_pipeline_replicates_without_failure(strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(PIPELINE), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     result = machine.run("Main")
     assert result.outcome == "primary_completed"
     assert env.console.transcript() == EXPECTED
@@ -85,7 +86,7 @@ def test_pipeline_replicates_without_failure(strategy):
 def test_pipeline_crash_sweep(strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(PIPELINE), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     machine.run("Main")
     total_events = machine.shipper.injector.events
     assert total_events > 10
@@ -94,7 +95,9 @@ def test_pipeline_crash_sweep(strategy):
     for crash_at in range(1, total_events + 1, step):
         env = Environment()
         machine = ReplicatedJVM(compile_program(PIPELINE), env=env,
-                                strategy=strategy, crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    strategy=strategy,
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.failed_over, crash_at
         assert result.final_result.ok, (crash_at,
@@ -149,7 +152,7 @@ def test_multiple_waiters_wake_in_replayed_order():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     result = machine.run("Main")
     assert result.final_result.ok
     assert env.console.transcript() == "sum=78\n"

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.runtime.jvm import JVMConfig
 
@@ -50,7 +51,9 @@ def test_replay_identical_despite_gc_pressure(strategy):
     config = JVMConfig(heap_gc_threshold=4_000)
     env = Environment()
     machine = ReplicatedJVM(compile_program(CHURN), env=env,
-                            strategy=strategy, jvm_config=config)
+                            config=ReplicationConfig(
+                                strategy=strategy,
+                                jvm_config=config))
     result = machine.run("Main")
     assert result.final_result.ok
     assert machine.primary_jvm.collector.stats.collections >= 1
@@ -67,14 +70,16 @@ def test_failover_with_gc_pressure():
     config = JVMConfig(heap_gc_threshold=4_000)
     env = Environment()
     machine = ReplicatedJVM(compile_program(CHURN), env=env,
-                            jvm_config=config)
+                            config=ReplicationConfig(jvm_config=config))
     machine.run("Main")
     events = machine.shipper.injector.events
     step = max(1, events // 12)
     for crash_at in range(1, events + 1, step):
         env = Environment()
         machine = ReplicatedJVM(compile_program(CHURN), env=env,
-                                jvm_config=config, crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    jvm_config=config,
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.console.transcript() == "shared=120\n", crash_at
@@ -101,7 +106,7 @@ def test_finalizers_do_not_perturb_replication_counters():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     result = machine.run("Main")
     assert result.final_result.ok
     replay = machine.replay_backup("Main")

@@ -11,6 +11,7 @@ import pytest
 
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 
 MULTI = """
@@ -44,7 +45,9 @@ STRATEGIES = ("lock_sync", "thread_sched", "lock_intervals")
 def test_hot_backup_tracks_primary_to_identical_state(strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy=strategy, hot_backup=True)
+                            config=ReplicationConfig(
+                                strategy=strategy,
+                                hot_backup=True))
     result = machine.run("Main")
     assert result.outcome == "primary_completed"
     # The backup ran alongside and reached the same state, with every
@@ -60,15 +63,19 @@ def test_hot_backup_tracks_primary_to_identical_state(strategy):
 def test_hot_backup_crash_sweep(strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy=strategy, hot_backup=True)
+                            config=ReplicationConfig(
+                                strategy=strategy,
+                                hot_backup=True))
     machine.run("Main")
     events = machine.shipper.injector.events
     step = max(1, events // 20)
     for crash_at in range(1, events + 1, step):
         env = Environment()
         machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                                strategy=strategy, hot_backup=True,
-                                crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    strategy=strategy,
+                                    hot_backup=True,
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.failed_over, crash_at
         assert result.final_result.ok, crash_at
@@ -98,21 +105,25 @@ def test_hot_backup_reduces_recovery_work():
     # Find a late crash point.
     probe_env = Environment()
     probe = ReplicatedJVM(compile_program(source), env=probe_env,
-                          strategy="lock_sync")
+                          config=ReplicationConfig(strategy="lock_sync"))
     probe.run("Main")
     crash_at = probe.shipper.injector.events - 1
 
     env = Environment()
     hot = ReplicatedJVM(compile_program(source), env=env,
-                        strategy="lock_sync", hot_backup=True,
-                        crash_at=crash_at)
+                        config=ReplicationConfig(
+                            strategy="lock_sync",
+                            hot_backup=True,
+                            crash_at=crash_at))
     result = hot.run("Main")
     assert result.failed_over and result.final_result.ok
     hot_total = hot.backup_jvm.instructions
 
     env = Environment()
     cold = ReplicatedJVM(compile_program(source), env=env,
-                         strategy="lock_sync", crash_at=crash_at)
+                         config=ReplicationConfig(
+                             strategy="lock_sync",
+                             crash_at=crash_at))
     result = cold.run("Main")
     assert result.failed_over and result.final_result.ok
     cold_total = cold.backup_jvm.instructions
@@ -141,7 +152,9 @@ def test_hot_backup_starves_rather_than_running_ahead():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="lock_sync", hot_backup=True)
+                            config=ReplicationConfig(
+                                strategy="lock_sync",
+                                hot_backup=True))
     machine.run("Main")
     assert env.console.lines() == [f"line {i}" for i in range(6)]
     assert machine.backup_metrics.outputs_reexecuted == 0
@@ -160,7 +173,9 @@ def test_hot_backup_single_threaded_thread_sched():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched", hot_backup=True)
+                            config=ReplicationConfig(
+                                strategy="thread_sched",
+                                hot_backup=True))
     result = machine.run("Main")
     assert result.outcome == "primary_completed"
     assert machine.backup_jvm.state_digest() == \

@@ -8,6 +8,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import ReproError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.workloads import ALL_WORKLOADS
 
@@ -18,7 +19,7 @@ def test_workload_replay_reaches_identical_state(workload, strategy):
     env = Environment()
     workload.prepare_env(env, "test")
     machine = ReplicatedJVM(workload.compile("test"), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     result = machine.run(workload.main_class)
     assert result.outcome == "primary_completed"
     assert result.final_result.ok
@@ -55,7 +56,7 @@ def test_replay_consumes_every_logged_record(strategy):
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     machine.run("Main")
     machine.replay_backup("Main")
     backup = machine.backup_jvm
@@ -94,7 +95,7 @@ def test_thread_sched_replay_reproduces_racy_interleaving():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     primary_digest = machine.primary_jvm.state_digest()
     replay = machine.replay_backup("Main")
@@ -130,7 +131,7 @@ def test_backup_allocation_order_matches_primary():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     machine.replay_backup("Main")
     primary_oids = [o.oid for o in machine.primary_jvm.heap.objects]

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 
 
@@ -85,7 +86,7 @@ class Main {{
 def test_random_racefree_program_replays_identically(source, strategy):
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     result = machine.run("Main")
     assert result.final_result.ok, result.final_result.uncaught
     primary_digest = machine.primary_jvm.state_digest()
@@ -105,7 +106,8 @@ def test_random_program_failover_is_consistent(source, strategy, crash_seed):
     """Crash at a pseudo-random event; the failover run must complete
     cleanly and print each cell line exactly once."""
     registry = compile_program(source)
-    probe = ReplicatedJVM(registry, env=Environment(), strategy=strategy)
+    probe = ReplicatedJVM(registry, env=Environment(),
+                          config=ReplicationConfig(strategy=strategy))
     probe_result = probe.run("Main")
     assert probe_result.final_result.ok
     events = probe.shipper.injector.events
@@ -115,7 +117,9 @@ def test_random_program_failover_is_consistent(source, strategy, crash_seed):
 
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy=strategy, crash_at=crash_at)
+                            config=ReplicationConfig(
+                                strategy=strategy,
+                                crash_at=crash_at))
     result = machine.run("Main")
     assert result.final_result.ok, (crash_at, result.final_result.uncaught)
     lines = env.console.lines()

@@ -4,6 +4,7 @@ side-effect handlers, fresh fault counters, identical metrics."""
 from repro.env.environment import Environment
 from repro.minijava import compile_program
 from repro.minijava.extensions import NativeClassSpec, NativeMethodSpec
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.sehandlers import SideEffectHandler
 from repro.replication.transport import FaultyTransport
@@ -24,7 +25,9 @@ def test_clone_twice_and_diff_metrics():
     """Two clones of one template run identically: every counter in
     the primary and backup metrics matches — nothing carried over."""
     template = ReplicatedJVM(compile_program(PRINTER), env=Environment(),
-                             strategy="thread_sched", crash_at=4)
+                             config=ReplicationConfig(
+                                 strategy="thread_sched",
+                                 crash_at=4))
     runs = []
     for _ in range(2):
         machine = template.clone()
@@ -53,7 +56,7 @@ def test_clone_gets_fresh_side_effect_handlers():
 
     handler = StickyHandler()
     template = ReplicatedJVM(compile_program(PRINTER), env=Environment(),
-                             se_handlers=[handler])
+                             config=ReplicationConfig(se_handlers=[handler]))
     clone = template.clone()
     cloned_handler = clone._extra_se_handlers[0]
     assert isinstance(cloned_handler, StickyHandler)
@@ -102,7 +105,9 @@ def test_cloned_handlers_give_identical_sweep_outcomes():
     ))
     registry = compile_program(source, native_classes=[beeper])
     template = ReplicatedJVM(registry, natives=natives, env=Environment(),
-                             se_handlers=[BeepHandler()], crash_at=6)
+                             config=ReplicationConfig(
+                                 se_handlers=[BeepHandler()],
+                                 crash_at=6))
     for _ in range(3):
         machine = template.clone()
         machine.run("Main")
@@ -115,7 +120,9 @@ def test_clone_resets_fault_counters():
     metrics."""
     template = ReplicatedJVM(
         compile_program(PRINTER), env=Environment(),
-        transport=lambda: FaultyTransport(seed=99, drop_rate=0.3),
+        config=ReplicationConfig(
+            transport=lambda: FaultyTransport(seed=99, drop_rate=0.3),
+        ),
     )
     template.run("Main")
     stats = template.transport.stats
@@ -140,7 +147,7 @@ def test_clone_of_faulty_transport_instance_keeps_fault_schedule():
     accumulated counters — so sweeps are reproducible."""
     transport = FaultyTransport(seed=1234, drop_rate=0.5)
     template = ReplicatedJVM(compile_program(PRINTER), env=Environment(),
-                             transport=transport)
+                             config=ReplicationConfig(transport=transport))
     template.run("Main")
     assert template.transport.stats.messages_dropped > 0
 

@@ -7,6 +7,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import DivergenceError, ReplicationError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.digest import (
     COMPONENTS,
     DigestRecord,
@@ -53,7 +54,7 @@ class Main {
 def _machine(strategy="thread_sched", **kw):
     kw.setdefault("digest_interval", 1)
     return ReplicatedJVM(compile_program(COUNTER), env=Environment(),
-                         strategy=strategy, **kw)
+                         config=ReplicationConfig(strategy=strategy, **kw))
 
 
 # ======================================================================
@@ -218,7 +219,7 @@ def test_replay_verifies_every_epoch():
     machine.run("Main")
     result = machine.replay_backup("Main")
     assert result.ok
-    verifier = machine._digest_verifier
+    verifier = machine._backup.verifier
     assert verifier.final_verified
     assert verifier.epochs_verified == \
         machine.primary_metrics.digest_records
@@ -242,7 +243,7 @@ def test_failover_sweep_passes_digest_checks(strategy):
 
 def test_digest_disabled_by_default():
     machine = ReplicatedJVM(compile_program(COUNTER), env=Environment(),
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     assert machine.primary_metrics.digest_records == 0
     assert parse_log(machine.channel.backup_log()).digests == []
@@ -292,14 +293,15 @@ def test_corrupted_replay_raises_divergence_error():
     machine.run("Main")
     assert machine.primary_metrics.digest_records > 2
 
-    backup = machine._build_backup()
+    replayer = machine._build_backup(hold=False, boot=("Main", None))
+    backup = replayer.jvm
     hooks = _CorruptingHooks(
         backup.run_hooks, after_epoch=1,
-        epoch_source=machine._backup_driver.digest_epoch_source(),
+        epoch_source=replayer.driver.digest_epoch_source(),
     )
     backup.run_hooks = hooks
     with pytest.raises(DivergenceError) as excinfo:
-        backup.run("Main")
+        backup.run_to_completion()
     err = excinfo.value
     assert hooks.corrupted_at is not None
     # Caught at the first digest epoch after the corruption, naming the

@@ -5,6 +5,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import RecoveryError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.lock_intervals import BackupIntervalLockSync
 from repro.replication.machine import ReplicatedJVM, parse_log
 from repro.replication.metrics import ReplicationMetrics
@@ -43,7 +44,7 @@ def test_intervals_compress_the_log_versus_per_acquisition():
     def records_for(strategy):
         env = Environment()
         machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                                strategy=strategy)
+                                config=ReplicationConfig(strategy=strategy))
         machine.run("Main")
         machine.channel.flush()
         return machine, parse_log(machine.channel.backup_log())
@@ -64,7 +65,8 @@ def test_intervals_compress_the_log_versus_per_acquisition():
 def test_interval_replay_reaches_identical_state():
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy="lock_intervals")
+                            config=ReplicationConfig(
+                                strategy="lock_intervals"))
     result = machine.run("Main")
     assert result.final_result.ok
     primary_digest = machine.primary_jvm.state_digest()
@@ -77,14 +79,16 @@ def test_interval_replay_reaches_identical_state():
 def test_interval_crash_sweep_exactly_once():
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy="lock_intervals")
+                            config=ReplicationConfig(
+                                strategy="lock_intervals"))
     machine.run("Main")
     events = machine.shipper.injector.events
     for crash_at in range(1, events + 1):
         env = Environment()
         machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                                strategy="lock_intervals",
-                                crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    strategy="lock_intervals",
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.console.transcript() == "total=1100\n", crash_at
@@ -136,7 +140,8 @@ def test_single_threaded_program_is_one_interval_per_commit():
     """
     env = Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="lock_intervals")
+                            config=ReplicationConfig(
+                                strategy="lock_intervals"))
     machine.run("Main")
     machine.channel.flush()
     parsed = parse_log(machine.channel.backup_log())

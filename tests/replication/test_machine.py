@@ -5,6 +5,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import AlreadyRanError, ReplicationError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import (
     ReplicaSettings,
     ReplicatedJVM,
@@ -20,7 +21,8 @@ TRIVIAL = "class Main { static void main(String[] args) { } }"
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ReplicationError, match="unknown strategy"):
-        ReplicatedJVM(compile_program(TRIVIAL), strategy="quantum")
+        ReplicatedJVM(compile_program(TRIVIAL),
+                      config=ReplicationConfig(strategy="quantum"))
 
 
 def test_parse_log_partitions_by_kind():
@@ -39,7 +41,8 @@ def test_failover_with_empty_log_is_a_fresh_run():
         }
     """
     env = Environment()
-    machine = ReplicatedJVM(compile_program(source), env=env, crash_at=1)
+    machine = ReplicatedJVM(compile_program(source), env=env,
+                            config=ReplicationConfig(crash_at=1))
     result = machine.run("Main")
     assert result.failed_over
     assert env.console.lines() == ["once"]
@@ -48,12 +51,11 @@ def test_failover_with_empty_log_is_a_fresh_run():
 
 def test_replica_settings_are_visible_per_session():
     env = Environment()
-    machine = ReplicatedJVM(
-        compile_program(TRIVIAL), env=env,
-        primary=ReplicaSettings(1, 0, 10),
-        backup=ReplicaSettings(2, 999, 20),
-        crash_at=None,
-    )
+    machine = ReplicatedJVM(compile_program(TRIVIAL), env=env,
+                            config=ReplicationConfig(
+                                primary=ReplicaSettings(1, 0, 10),
+                                backup=ReplicaSettings(2, 999, 20),
+                                crash_at=None))
     machine.run("Main")
     assert machine.primary_jvm.config.scheduler_seed == 1
     machine.replay_backup("Main")
@@ -68,7 +70,9 @@ def test_detector_timeout_configurable():
         }
     """
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            crash_at=1, detector_timeout=7)
+                            config=ReplicationConfig(
+                                crash_at=1,
+                                detector_timeout=7))
     result = machine.run("Main")
     assert result.detection_intervals == 7
 
@@ -126,7 +130,7 @@ def test_custom_application_side_effect_handler():
     # Sweep all crash points: beeps land exactly once.
     env0 = Environment()
     m0 = ReplicatedJVM(build_registry(), natives=natives, env=env0,
-                       se_handlers=[BeepHandler()])
+                       config=ReplicationConfig(se_handlers=[BeepHandler()]))
     m0.run("Main")
     assert env0.fs.contents("beeps.txt") == "!" * 5
     events = m0.shipper.injector.events
@@ -134,8 +138,9 @@ def test_custom_application_side_effect_handler():
     for crash_at in range(1, events + 1):
         env = Environment()
         machine = ReplicatedJVM(build_registry(), natives=natives, env=env,
-                                se_handlers=[BeepHandler()],
-                                crash_at=crash_at)
+                                config=ReplicationConfig(
+                                    se_handlers=[BeepHandler()],
+                                    crash_at=crash_at))
         result = machine.run("Main")
         assert result.final_result.ok, crash_at
         assert env.fs.contents("beeps.txt") == "!" * 5, crash_at
@@ -177,7 +182,9 @@ def test_clone_is_fresh_and_runnable():
 
 def test_clone_overrides_selected_knobs():
     machine = ReplicatedJVM(compile_program(PRINTER), env=Environment(),
-                            crash_at=None, detector_timeout=3)
+                            config=ReplicationConfig(
+                                crash_at=None,
+                                detector_timeout=3))
     machine.run("Main")
     clone = machine.clone(crash_at=2, detector_timeout=5)
     result = clone.run("Main")

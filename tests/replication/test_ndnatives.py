@@ -5,6 +5,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import RecoveryError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM, parse_log
 from repro.replication.records import NativeResultRecord, OutputIntentRecord
 
@@ -12,7 +13,9 @@ from repro.replication.records import NativeResultRecord, OutputIntentRecord
 def _run(source, strategy="lock_sync", crash_at=None, env=None):
     env = env or Environment()
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy=strategy, crash_at=crash_at)
+                            config=ReplicationConfig(
+                                strategy=strategy,
+                                crash_at=crash_at))
     result = machine.run("Main")
     return machine, result, env
 

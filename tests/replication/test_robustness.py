@@ -5,6 +5,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import RecoveryError, ReplicationError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM, parse_log
 from repro.replication.records import (
     LockAcqRecord,
@@ -36,7 +37,7 @@ def test_backup_with_foreign_lock_log_diverges_loudly():
                 System.println("done");
             }
         }
-    """), env=env, strategy="lock_sync")
+    """), env=env, config=ReplicationConfig(strategy="lock_sync"))
     machine.run("Main")
     # Corrupt the delivered log: claim the main thread's first
     # acquisition was the lock's *second* (l_asn 2 never precedes 1).
@@ -49,7 +50,7 @@ def test_backup_with_foreign_lock_log_diverges_loudly():
 def test_schedule_log_with_impossible_progress_detected():
     env = Environment()
     machine = ReplicatedJVM(compile_program(HELLO), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     # A schedule record claiming the main thread switched to a thread
     # that never exists.
@@ -64,7 +65,7 @@ def test_crash_at_zero_events_never_fires():
     env = Environment()
     machine = ReplicatedJVM(compile_program(
         "class Main { static void main(String[] args) { } }"
-    ), env=env, crash_at=1)
+    ), env=env, config=ReplicationConfig(crash_at=1))
     result = machine.run("Main")
     # The program logs nothing, so the injector never reaches event 1.
     assert result.outcome == "primary_completed"
@@ -78,7 +79,8 @@ def test_machine_metrics_available_after_both_outcomes():
     assert result.backup_metrics is None  # cold backup never ran
 
     env = Environment()
-    machine = ReplicatedJVM(compile_program(HELLO), env=env, crash_at=2)
+    machine = ReplicatedJVM(compile_program(HELLO), env=env,
+                            config=ReplicationConfig(crash_at=2))
     result = machine.run("Main")
     assert result.failed_over
     assert result.backup_metrics is not None
@@ -98,7 +100,8 @@ def test_double_failover_is_not_a_thing():
     """Once the primary crashed and the backup finished, a second run()
     on the same machine is a misuse: the primary is already bootstrapped."""
     env = Environment()
-    machine = ReplicatedJVM(compile_program(HELLO), env=env, crash_at=2)
+    machine = ReplicatedJVM(compile_program(HELLO), env=env,
+                            config=ReplicationConfig(crash_at=2))
     machine.run("Main")
     from repro.errors import ReproError
     with pytest.raises(ReproError):

@@ -21,10 +21,10 @@ from repro.replication.config import (
     DEFAULT_BACKUP,
     DEFAULT_PRIMARY,
     ReplicationConfig,
-    config_from_kwargs,
 )
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.supervisor import ReplicaGroup
+from repro.replication.voting import VotingGroup
 
 ECHO_SERVER = """
 class Main {
@@ -143,7 +143,7 @@ def test_group_requeues_unanswered_requests_on_failover(registry):
 
 
 # ======================================================================
-# ReplicationConfig and the keyword-compat shim
+# ReplicationConfig: the one way to configure
 # ======================================================================
 def test_config_merged_overrides_only_named_fields():
     base = ReplicationConfig(strategy="thread_sched", batch_records=7)
@@ -159,19 +159,12 @@ def test_config_merged_rejects_unknown_fields():
         ReplicationConfig().merged(bogus=1)
 
 
-def test_legacy_kwargs_warn_and_map_onto_config(registry):
-    with pytest.warns(DeprecationWarning, match="ReplicatedJVM"):
-        machine = ReplicatedJVM(registry, env=Environment(),
-                                strategy="thread_sched", crash_at=4)
-    assert machine.config.strategy == "thread_sched"
-    assert machine.config.crash_at == 4
-
-
-def test_group_legacy_kwargs_warn(registry):
-    with pytest.warns(DeprecationWarning, match="ReplicaGroup"):
-        group = ReplicaGroup(registry, env=Environment(),
-                             crash_schedule={0: 5})
-    assert group.config.crash_schedule == {0: 5}
+def test_unknown_keyword_raises_type_error(registry):
+    """There is one way to configure: options travel in a
+    ReplicationConfig, never as constructor keywords."""
+    for cls in (ReplicatedJVM, ReplicaGroup, VotingGroup):
+        with pytest.raises(TypeError):
+            cls(registry, env=Environment(), strategy="thread_sched")
 
 
 def test_config_object_constructors_do_not_warn(registry):
@@ -181,17 +174,6 @@ def test_config_object_constructors_do_not_warn(registry):
                       config=ReplicationConfig(strategy="lock_sync"))
         ReplicaGroup(registry, env=Environment(),
                      config=ReplicationConfig())
-
-
-def test_config_from_kwargs_folds_legacy_keywords_into_config():
-    base = ReplicationConfig(batch_records=5)
-    with pytest.warns(DeprecationWarning):
-        merged = config_from_kwargs(base, {"crash_at": 9},
-                                    owner="ReplicatedJVM")
-    assert merged.batch_records == 5
-    assert merged.crash_at == 9
-    with pytest.raises(TypeError):
-        config_from_kwargs(None, {"bogus": 1}, owner="ReplicatedJVM")
 
 
 def test_default_replica_settings_are_distinct():

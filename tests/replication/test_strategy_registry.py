@@ -24,6 +24,7 @@ from repro.replication import (
     resolve_strategy,
     strategy_names,
 )
+from repro.replication.config import ReplicationConfig
 from repro.replication.lock_sync import BackupLockSync, PrimaryLockSync
 from repro.replication.machine import ReplicatedJVM, parse_log
 from repro.replication.records import encode
@@ -117,7 +118,8 @@ def test_plugin_strategy_runs_failover_end_to_end():
     all — completes failover through the unmodified machine."""
     env0 = Environment()
     reference = ReplicatedJVM(compile_program(COUNTER_PROGRAM), env=env0,
-                              strategy="epoch_lock_sync")
+                              config=ReplicationConfig(
+                                  strategy="epoch_lock_sync"))
     result = reference.run("Main")
     assert result.outcome == "primary_completed"
     assert env0.console.transcript() == "total=4040\n"
@@ -161,7 +163,7 @@ def test_builtin_names_resolve():
 def test_strategy_objects_pass_straight_through():
     strategy = LockSyncStrategy()
     machine = ReplicatedJVM(compile_program(COUNTER_PROGRAM),
-                            strategy=strategy)
+                            config=ReplicationConfig(strategy=strategy))
     assert machine.strategy == "lock_sync"
     assert resolve_strategy(strategy) is strategy
 

@@ -12,6 +12,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import AlreadyRanError, ReplicationError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.digest import compute_state_digest
 from repro.replication.machine import run_unreplicated
 from repro.replication.supervisor import (
@@ -56,7 +57,7 @@ def reference(registry):
 def _group(registry, env, **kwargs):
     kwargs.setdefault("batch_records", 1)
     kwargs.setdefault("chunk_bytes", 256)
-    return ReplicaGroup(registry, env=env, **kwargs)
+    return ReplicaGroup(registry, env=env, config=ReplicationConfig(**kwargs))
 
 
 def _flaky_per_generation(generation):
@@ -168,6 +169,18 @@ def test_group_runs_once(registry):
     group.run("Main")
     with pytest.raises(AlreadyRanError):
         group.run("Main")
+
+
+@pytest.mark.parametrize("option", [
+    {"crash_at": 40}, {"hot_backup": True}, {"digest_interval": 2},
+])
+def test_pair_only_options_are_rejected_not_ignored(registry, option):
+    """A group has no use for these: accepting them would mean a
+    crash_at=40 that never crashes and a digest_interval=2 that never
+    emits a digest."""
+    name, = option
+    with pytest.raises(ReplicationError, match=name):
+        _group(registry, Environment(), **option)
 
 
 def test_generation_settings_are_distinct():

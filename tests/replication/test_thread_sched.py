@@ -5,6 +5,7 @@ import pytest
 from repro.env.environment import Environment
 from repro.errors import RecoveryError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.metrics import ReplicationMetrics
 from repro.replication.records import ScheduleRecord
@@ -35,7 +36,7 @@ MULTI = """
 def test_primary_logs_one_record_per_switch():
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     metrics = machine.primary_metrics
     # Reschedules include the very first dispatch (no record) so
@@ -58,7 +59,7 @@ def test_single_threaded_program_logs_no_schedule_records():
         }
     """
     machine = ReplicatedJVM(compile_program(source), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     assert machine.primary_metrics.schedule_records == 0
 
@@ -66,7 +67,7 @@ def test_single_threaded_program_logs_no_schedule_records():
 def test_records_capture_progress_of_descheduled_thread():
     env = Environment()
     machine = ReplicatedJVM(compile_program(MULTI), env=env,
-                            strategy="thread_sched")
+                            config=ReplicationConfig(strategy="thread_sched"))
     machine.run("Main")
     from repro.replication.machine import parse_log
     parsed = parse_log(machine.channel.backup_log())

@@ -6,6 +6,7 @@ import pytest
 
 from repro.env.environment import Environment
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.transport import (
     FAULT_PROFILES,
@@ -103,7 +104,10 @@ def test_output_commit_survives_dropped_acks_end_to_end():
     env = Environment()
     machine = ReplicatedJVM(
         compile_program(source), env=env,
-        transport=lambda: FaultyTransport(FAULT_PROFILES["lossy"], seed=11),
+        config=ReplicationConfig(
+            transport=lambda: FaultyTransport(FAULT_PROFILES["lossy"],
+                                              seed=11),
+        ),
     )
     result = machine.run("Main")
     assert result.outcome == "primary_completed"

@@ -12,6 +12,7 @@ import pytest
 from repro.bytecode.assembler import assemble
 from repro.classfile.model import JClass
 from repro.errors import ReproError
+from repro.replication.config import ReplicationConfig
 from repro.runtime.frames import Frame
 from repro.runtime.interpreter import _InvokeSite
 from repro.runtime.jvm import JVM, JVMConfig, StepResult
@@ -202,8 +203,9 @@ def test_block_counters_flow_into_replication_metrics():
 
     registry = compile_program(_LOOP_SOURCE)
     machine = ReplicatedJVM(registry, env=Environment(),
-                            strategy="thread_sched",
-                            jvm_config=_BLOCK_CONFIG)
+                            config=ReplicationConfig(
+                                strategy="thread_sched",
+                                jvm_config=_BLOCK_CONFIG))
     result = machine.run("Main")
     assert result.outcome == "primary_completed"
     metrics = machine.primary_metrics
