@@ -48,21 +48,22 @@ def make_cell_spec(workload: str, strategy: str, transport: str,
                    engine: str = "slice") -> Dict[str, Any]:
     """One matrix cell as a plain dict (crosses process boundaries).
 
-    ``transport`` is ``"memory"`` or ``"faulty:<profile>"`` with a
-    profile name from :data:`repro.replication.transport.FAULT_PROFILES`
-    (the sweep seeds it so fault schedules are reproducible).
+    ``transport`` is ``"memory"``, ``"socket"`` (localhost TCP) or
+    ``"faulty:<profile>"`` with a profile name from
+    :data:`repro.replication.transport.FAULT_PROFILES` (the sweep seeds
+    it so fault schedules are reproducible).
     ``engine`` selects the execution engine for the crash runs; the
     reference run always uses the single-step engine, so every swept
     cell doubles as a cross-engine equivalence check.
     """
-    if transport != "memory":
+    if transport not in ("memory", "socket"):
         kind, _, profile = transport.partition(":")
         profile = profile or "flaky"
         if kind != "faulty" or profile not in FAULT_PROFILES:
             raise ReproError(
                 f"unknown conform transport {transport!r}; expected "
-                f"'memory' or 'faulty:<profile>' with a profile from "
-                f"{sorted(FAULT_PROFILES)}"
+                f"'memory', 'socket' or 'faulty:<profile>' with a "
+                f"profile from {sorted(FAULT_PROFILES)}"
             )
     return {
         "workload": workload,
@@ -78,6 +79,8 @@ def _transport_factory(spec: Dict[str, Any]):
     transport = spec["transport"]
     if transport == "memory":
         return None                      # in-memory default
+    if transport == "socket":
+        return "socket"                  # make_transport builds the link
     _, _, profile = transport.partition(":")
     profile = profile or "flaky"
     seed = spec["seed"]
@@ -125,7 +128,10 @@ def reference_run(spec: Dict[str, Any]) -> Reference:
     """
     workload = get_workload(spec["workload"])
     machine = build_machine({**spec, "engine": "step"})
-    result = machine.run(workload.main_class)
+    try:
+        result = machine.run(workload.main_class)
+    finally:
+        machine.close()
     if result.failed_over:
         raise ReproError("reference run unexpectedly failed over")
     digest = compute_state_digest(machine.primary_jvm)
@@ -164,6 +170,8 @@ def check_crash_point(spec: Dict[str, Any], crash_at: int,
         )
     except ReproError as err:
         return failure("error", f"{type(err).__name__}: {err}")
+    finally:
+        machine.close()
 
     if not result.failed_over:
         return failure(

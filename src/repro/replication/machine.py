@@ -195,8 +195,8 @@ class ReplicatedJVM(ReplicaSet):
         )
 
     def close(self) -> None:
-        """Release transport resources (socket transports hold a
-        listener and a receiver thread); the delivered log survives."""
+        """Release transport resources (a socket transport's listener
+        and connections); the delivered log survives."""
         self.transport.close()
 
     def _build_backup(self, *, hold: bool, boot=None) -> Replayer:

@@ -15,9 +15,11 @@ FailureDetector, ReplicatedJVM) is transport-generic:
   numbers, cumulative acks, retransmission with timeout and
   exponential backoff, and a bounded send window that exerts
   backpressure on the primary.
-* :class:`SocketTransport` — a real TCP connection over localhost with
-  the backup's log receiver on its own thread, framed with the same
-  varint encoding as the log records (:mod:`repro.replication.wire`).
+* :class:`SocketTransport` — a real TCP connection over localhost,
+  framed with the same varint encoding as the log records
+  (:mod:`repro.replication.wire`).  Both ends are non-blocking
+  ``TCP_NODELAY`` sockets served on the caller's thread, so an output
+  commit costs one loopback round trip and nothing outlives ``close``.
 
 Delivery semantics under fail-stop, per transport:
 
@@ -37,12 +39,9 @@ Delivery semantics under fail-stop, per transport:
 Multiplexed operation
 ---------------------
 
-The original interface was *blocking*: one connection per replica
-group, with :meth:`Transport.wait_ack` spinning the transport's own
-clock (or socket) until the ack arrived.  A fleet of replica groups
-cannot be built on that — one group stalled in an output-commit wait
-would freeze every other group's link.  The interface is therefore
-poll-driven:
+A fleet of replica groups runs on one thread, so one group stalled in
+an output-commit wait must not freeze every other group's link.  The
+interface is therefore poll-driven:
 
 * :meth:`Transport.poll` advances the transport **without blocking**
   (delivers due arrivals, processes acks, runs retransmit timers) and
@@ -50,12 +49,14 @@ poll-driven:
 * :meth:`Transport.send_nowait` ships a batch if the send window has
   room, returning ``False`` instead of stalling under backpressure;
 * :attr:`Transport.on_deliver` / :attr:`Transport.on_ack` are
-  readiness callbacks fired when records land in the backup's log or
-  the cumulative ack advances;
+  readiness callbacks fired — always on the caller's thread — when
+  records land in the backup's log or the cumulative ack advances;
 * :class:`TransportMux` is the one event loop servicing all group
-  connections: every registered transport's blocking waits service the
-  *other* members between their own poll steps, so a group waiting on
-  its ack keeps the rest of the fleet's frames moving.
+  connections.  A simulated member's blocking waits poll the *other*
+  members between their own steps; a socket member sleeps in one
+  ``select`` over every member's sockets and serves whichever is
+  ready, so a group waiting on its ack keeps the rest of the fleet's
+  frames moving and wakes the moment its own arrives.
 
 The blocking methods (``send``/``wait_ack``) remain, implemented on
 top of the poll layer, so single-group users (:class:`ReplicatedJVM`,
@@ -65,8 +66,8 @@ the conformance sweeps) are unchanged.
 from __future__ import annotations
 
 import heapq
+import select
 import socket
-import threading
 import time
 from dataclasses import dataclass, replace
 from random import Random
@@ -117,8 +118,7 @@ class Transport:
         self.stats = TransportStats()
         self.closed = False
         #: Readiness callback ``(transport, n_new_records)`` fired when
-        #: records land in :attr:`delivered`.  The socket transport
-        #: fires it on its receiver thread.
+        #: records land in :attr:`delivered`.
         self.on_deliver: Optional[Callable[["Transport", int], None]] = None
         #: Readiness callback ``(transport, acked_through_seq)`` fired
         #: when the cumulative ack advances.
@@ -143,6 +143,11 @@ class Transport:
         """One idle step for the rest of the fleet (no-op unmuxed)."""
         if self.mux is not None:
             self.mux.poll_others(self)
+
+    def _watched(self) -> List[socket.socket]:
+        """Sockets whose readiness :meth:`_service` serves — none on
+        the simulated transports, which advance by :meth:`poll`."""
+        return []
 
     # -- sender side ---------------------------------------------------
     def send(self, records: List[bytes]) -> None:
@@ -767,32 +772,17 @@ class ChaosTransport(FaultyTransport):
 # ======================================================================
 # Real sockets
 # ======================================================================
-def _read_uvarint(sock: socket.socket) -> Optional[int]:
-    """Read one varint from a blocking socket; None on clean EOF."""
-    shift = 0
-    value = 0
-    while True:
-        byte = sock.recv(1)
-        if not byte:
-            return None if shift == 0 else value
-        value |= (byte[0] & 0x7F) << shift
-        if not byte[0] & 0x80:
-            return value
-        shift += 7
-        if shift > 63:
-            raise TransportError("varint too long on socket")
+def _frame(payload: Writer) -> bytes:
+    body = payload.bytes()
+    return Writer().uvarint(len(body)).bytes() + body
 
 
-def _uvarint_bytes(value: int) -> bytes:
-    return Writer().uvarint(value).bytes()
-
-
-def _buf_uvarint(buf: bytes) -> Optional[Tuple[int, int]]:
-    """Parse one varint from the head of ``buf``; returns
-    ``(value, bytes_consumed)`` or ``None`` when incomplete."""
-    shift = 0
-    value = 0
-    for i, byte in enumerate(buf):
+def _buf_uvarint(buf: memoryview, at: int) -> Optional[Tuple[int, int]]:
+    """Parse one varint at ``buf[at:]``; returns ``(value, index past
+    it)`` or ``None`` when incomplete."""
+    shift = value = 0
+    for i in range(at, len(buf)):
+        byte = buf[i]
         value |= (byte & 0x7F) << shift
         if not byte & 0x80:
             return value, i + 1
@@ -802,9 +792,40 @@ def _buf_uvarint(buf: bytes) -> Optional[Tuple[int, int]]:
     return None
 
 
+def _recv_frames(sock: socket.socket, buf: bytearray,
+                 size: int) -> Optional[List[bytes]]:
+    """One non-blocking read into ``buf``, then every complete
+    ``uvarint(length) || payload`` frame cut off its head (a partial
+    tail stays for the next read).  ``None`` at EOF."""
+    try:
+        chunk = sock.recv(size)
+    except BlockingIOError:
+        return []
+    except OSError:
+        chunk = b""                 # reset by the peer: same as EOF
+    if not chunk:
+        return None
+    buf += chunk
+    frames: List[bytes] = []
+    at = 0
+    with memoryview(buf) as view:
+        while True:
+            head = _buf_uvarint(view, at)
+            if head is None:
+                break
+            length, start = head
+            if len(view) < start + length:
+                break
+            at = start + length
+            frames.append(bytes(view[start:at]))
+    del buf[:at]
+    return frames
+
+
 class SocketTransport(Transport):
-    """Real TCP over localhost; the backup's log receiver runs on its
-    own thread and acks every data frame it appends.
+    """Real TCP over localhost, both ends serviced on the caller's
+    thread: the backup's log receiver is the other end of the same
+    non-blocking link, and every data frame it appends is acked.
 
     Frames reuse the varint wire format: both directions carry a
     sequence of ``uvarint(length) || payload`` where payload is built
@@ -812,15 +833,23 @@ class SocketTransport(Transport):
     data frames ``(type=1, seq, count, count×(len, bytes))``,
     heartbeats ``(type=2)``, acks ``(type=3, cumulative_seq)``.
 
+    There is one service step, :meth:`_io`: ``select``, accept a
+    pending connection, read the receiving end (deliver, ack), read
+    acks on the sending end.  ``poll``/``wait_ack``/``drain``/
+    ``crash_sender`` are loops over it, and so is a write the kernel
+    will not take whole: a frame larger than the socket buffers cannot
+    deadlock against its own unread far end.
+
     Connection resets are survivable: the sender keeps every unacked
     data frame in an outbox and, after a reset, reconnects and
-    retransmits the outbox in order; the receiver accepts successive
-    connections, keeps its cumulative ``expected`` sequence across
-    them, discards (and re-acks) duplicates, and never appends out of
-    order — so the delivered log stays a contiguous prefix of the sent
-    record sequence across any number of reconnects.  Seeded reset
-    injection (``reset_every`` / ``reset_rate`` + ``reset_seed``)
-    exercises exactly this path deterministically in tests.
+    retransmits the outbox in order; the receiver reads each connection
+    to EOF before it accepts the next, keeps its cumulative
+    ``expected`` sequence across them, discards (and re-acks)
+    duplicates, and never appends out of order — so the delivered log
+    stays a contiguous prefix of the sent record sequence across any
+    number of reconnects.  Seeded reset injection (``reset_every`` /
+    ``reset_rate`` + ``reset_seed``) exercises exactly this path
+    deterministically in tests.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -833,132 +862,147 @@ class SocketTransport(Transport):
         self.reset_every = reset_every
         self.reset_rate = reset_rate
         self.reset_seed = reset_seed
-        self._reset_rng = Random(reset_seed)
+        self._reset_rng = Random(reset_seed) if reset_rate else None
         self._frames_since_reset = 0
-        self._cv = threading.Condition()
         self._next_seq = 0
         self._acked_through = -1
-        self._records_sent = 0
-        self._truncated = 0
-        self._eof = False
-        #: seq -> encoded DATA frame payload, pruned as acks arrive;
+        #: seq -> framed DATA frame, pruned as acks arrive;
         #: retransmitted in order after a reconnect.
         self._outbox: Dict[int, bytes] = {}
-        #: Sender-side buffer of ack bytes read off the socket; frames
-        #: are parsed out of it as they complete, so ack reads can be
-        #: non-blocking (the poll layer) without tearing frames.
-        self._ack_buf = b""
+        #: Bytes read off either end that do not complete a frame yet.
+        self._ack_buf = bytearray()
+        self._recv_buf = bytearray()
         #: Receiver-side cumulative next-expected sequence; lives on
         #: the instance so it survives connection turnover.
         self._expected = 0
-        self._ever_connected = False
+        #: Connections the sender opened / the receiver read to EOF:
+        #: equal once nothing is in flight on a dead sender's links.
+        self._connects = 0
+        self._eofs = 0
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.bind((host, port))
         self._listener.listen(1)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()
         self._sender: Optional[socket.socket] = None
-        self._receiver_sock: Optional[socket.socket] = None
-        self._thread = threading.Thread(
-            target=self._receiver_loop, name="backup-log-receiver",
-            daemon=True,
-        )
-        self._thread.start()
+        self._receiver: Optional[socket.socket] = None
 
-    # -- receiver thread -----------------------------------------------
-    def _receiver_loop(self) -> None:
-        while True:
+    # -- the service step ----------------------------------------------
+    def _watched(self) -> List[socket.socket]:
+        # The listener only while no receiving connection is open: each
+        # connection is read to EOF before its successor is accepted.
+        return [s for s in (self._receiver or self._listener, self._sender)
+                if s is not None]
+
+    def _service(self, ready: List[socket.socket]) -> None:
+        accepted = self._listener in ready
+        if accepted:
             try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break               # listener closed: shut down
-            self._receiver_sock = conn
-            try:
-                self._serve(conn)
-            except OSError:
-                pass                # connection reset: await the next one
-            finally:
+                self._receiver, _ = self._listener.accept()
+            except (BlockingIOError, ConnectionAbortedError):
+                return              # the connection died in the queue
+            except OSError as exc:  # out of descriptors: would spin
+                raise TransportError(f"accept failed: {exc}") from exc
+            self._receiver.setblocking(False)
+            self._receiver.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+        # A connection just accepted has its first frame behind it, and
+        # an ack just written is already at the sending end.
+        acked = (accepted or self._receiver in ready) and self._read_frames()
+        if self._sender is not None and (acked or self._sender in ready):
+            self._read_acks()
+
+    def _io(self, timeout: float, writing=None) -> bool:
+        """One service step for both ends of the link: wait up to
+        ``timeout`` seconds for a socket to need attention (or for
+        ``writing`` to take more bytes), then serve it.  False when the
+        wait timed out."""
+        ready, writable, _ = select.select(
+            self._watched(), [writing] if writing is not None else [], [],
+            max(timeout, 0.0))
+        self._service(ready)
+        return bool(ready or writable)
+
+    def _write(self, sock: socket.socket, frame: bytes) -> None:
+        """Non-blocking ``sendall``: nobody else empties the far end,
+        so when the kernel's buffers fill, service the link until
+        ``sock`` takes more."""
+        sent = 0
+        with memoryview(frame) as view:
+            while sent < len(view):
                 try:
-                    conn.close()
-                except OSError:
-                    pass
-        with self._cv:
-            self._eof = True
-            self._cv.notify_all()
+                    sent += sock.send(view[sent:])
+                except BlockingIOError:
+                    if not self._io(self.timeout, writing=sock):
+                        raise TransportError("socket send stalled") from None
 
-    def _serve(self, conn: socket.socket) -> None:
-        while True:
-            payload = self._read_frame(conn)
-            if payload is None:
-                return
+    # -- receiver end --------------------------------------------------
+    def _read_frames(self) -> bool:
+        """Read what the receiving connection has: deliver in sequence,
+        re-ack duplicates, count heartbeats.  True when an ack went back."""
+        conn = self._receiver
+        frames = _recv_frames(conn, self._recv_buf, 65536)
+        if frames is None:
+            conn.close()
+            self._receiver = None
+            self._recv_buf.clear()  # a torn frame dies with its link
+            self._eofs += 1
+            return False
+        owed = False
+        for payload in frames:
             r = Reader(payload)
             frame_type = r.uvarint()
-            if frame_type == _FRAME_DATA:
+            if frame_type == _FRAME_HEARTBEAT:
+                self.stats.heartbeats_delivered += 1
+            elif frame_type == _FRAME_DATA:
                 seq = r.uvarint()
-                count = r.uvarint()
-                records = [r.raw(r.uvarint()) for _ in range(count)]
-                with self._cv:
-                    if seq > self._expected:
-                        # A gap can't arise from TCP ordering; only a
-                        # confused sender.  Hold nothing, ack nothing —
-                        # the retransmission protocol will fill it in.
-                        continue
-                    appended = 0
-                    if seq == self._expected:
-                        self._expected = seq + 1
-                        self.delivered.extend(records)
-                        appended = len(records)
-                        self._cv.notify_all()
-                    # seq < expected: duplicate after a reconnect — the
-                    # records are already in the log; just re-ack.
-                    acked = self._expected - 1
-                # NB: fires on the receiver thread, outside the lock.
-                if appended and self.on_deliver is not None:
-                    self.on_deliver(self, appended)
-                ack = Writer().uvarint(_FRAME_ACK).uvarint(acked).bytes()
-                conn.sendall(_uvarint_bytes(len(ack)) + ack)
-            elif frame_type == _FRAME_HEARTBEAT:
-                with self._cv:
-                    self.stats.heartbeats_delivered += 1
+                records = [r.raw(r.uvarint()) for _ in range(r.uvarint())]
+                if seq > self._expected:
+                    # A gap can't arise from TCP ordering; only a
+                    # confused sender.  Hold nothing, ack nothing —
+                    # the retransmission protocol will fill it in.
+                    continue
+                if seq == self._expected:
+                    self._expected = seq + 1
+                    self._deliver(records)
+                # seq < expected: duplicate after a reconnect — the
+                # records are already in the log; just re-ack.
+                owed = True
+        if owed:
+            ack = Writer().uvarint(_FRAME_ACK).uvarint(self._expected - 1)
+            try:
+                conn.send(_frame(ack))
+            except OSError:
+                return False        # sender gone: it will retransmit
+        return owed
 
-    @staticmethod
-    def _read_frame(conn: socket.socket) -> Optional[bytes]:
-        length = _read_uvarint(conn)
-        if length is None:
-            return None
-        payload = b""
-        while len(payload) < length:
-            chunk = conn.recv(length - len(payload))
-            if not chunk:
-                return None
-            payload += chunk
-        return payload
-
-    # -- sender side ---------------------------------------------------
+    # -- sender end ----------------------------------------------------
     def _drop_connection(self) -> None:
         if self._sender is not None:
-            try:
-                self._sender.close()
-            except OSError:
-                pass
+            self._sender.close()
             self._sender = None
         # A partial ack frame from the dead connection is garbage.
-        self._ack_buf = b""
+        self._ack_buf.clear()
 
     def _connect(self) -> socket.socket:
         if self._sender is None:
-            self._sender = socket.create_connection(
-                self.address, timeout=self.timeout
-            )
-            if self._ever_connected:
+            # Serve the receiving end first, so that at most one
+            # connection ever waits in the accept queue.
+            while self._io(0.0):
+                pass
+            self._sender = socket.create_connection(self.address, self.timeout)
+            self._sender.setsockopt(socket.IPPROTO_TCP,
+                                    socket.TCP_NODELAY, 1)
+            self._sender.setblocking(False)
+            self._connects += 1
+            if self._connects > 1:
                 self.stats.reconnects += 1
                 # Retransmit every unacked data frame in order; the
                 # receiver re-acks duplicates and appends the rest, so
                 # the contiguous prefix resumes exactly where it broke.
                 for seq in sorted(self._outbox):
-                    frame = self._outbox[seq]
                     self.stats.retransmits += 1
-                    self._sender.sendall(_uvarint_bytes(len(frame)) + frame)
-            self._ever_connected = True
+                    self._write(self._sender, self._outbox[seq])
         return self._sender
 
     def _maybe_inject_reset(self) -> None:
@@ -977,18 +1021,16 @@ class SocketTransport(Transport):
             self.stats.connection_resets += 1
             self._drop_connection()
 
-    def _send_frame(self, payload: bytes) -> None:
-        frame = _uvarint_bytes(len(payload)) + payload
+    def _send_frame(self, payload: Writer) -> bytes:
+        frame = _frame(payload)
         for attempt in (0, 1):
             try:
-                self._connect().sendall(frame)
-                return
+                self._write(self._connect(), frame)
+                return frame
             except OSError as exc:
                 self._drop_connection()
                 if attempt:
-                    raise TransportError(
-                        f"socket send failed: {exc}"
-                    ) from exc
+                    raise TransportError(f"socket send failed: {exc}") from exc
 
     def send(self, records: List[bytes]) -> None:
         if self.closed:
@@ -997,32 +1039,25 @@ class SocketTransport(Transport):
         w.uvarint(_FRAME_DATA).uvarint(self._next_seq).uvarint(len(records))
         for record in records:
             w.uvarint(len(record)).raw(record)
-        payload = w.bytes()
-        self._outbox[self._next_seq] = payload
-        self._send_frame(payload)
+        # Into the outbox only once written: a reconnect inside the
+        # write retransmits the frames *before* this one, not this one.
+        self._outbox[self._next_seq] = self._send_frame(w)
         self._next_seq += 1
-        self._records_sent += len(records)
         self._maybe_inject_reset()
 
     def send_heartbeat(self) -> None:
         if self.closed:
             return
         self.stats.heartbeats_sent += 1
-        self._send_frame(Writer().uvarint(_FRAME_HEARTBEAT).bytes())
+        self._send_frame(Writer().uvarint(_FRAME_HEARTBEAT))
 
-    def _parse_ack_frames(self) -> bool:
-        """Consume complete frames from the ack buffer; True when the
-        cumulative ack advanced."""
-        advanced = False
-        while True:
-            head = _buf_uvarint(self._ack_buf)
-            if head is None:
-                return advanced
-            length, consumed = head
-            if len(self._ack_buf) < consumed + length:
-                return advanced
-            payload = self._ack_buf[consumed:consumed + length]
-            self._ack_buf = self._ack_buf[consumed + length:]
+    def _read_acks(self) -> None:
+        frames = _recv_frames(self._sender, self._ack_buf, 4096)
+        if frames is None:
+            # Link gone: the next send or ack wait reconnects.
+            self._drop_connection()
+            return
+        for payload in frames:
             r = Reader(payload)
             if r.uvarint() != _FRAME_ACK:
                 continue
@@ -1033,45 +1068,15 @@ class SocketTransport(Transport):
                 for seq in [s for s in self._outbox if s <= acked]:
                     del self._outbox[seq]
                 self._ack_advanced(acked)
-                advanced = True
-
-    def _recv_ack_bytes(self, timeout: float) -> str:
-        """Pull whatever ack bytes the socket has into the buffer
-        within ``timeout`` seconds (0 = non-blocking).  Returns
-        ``"data"``, ``"idle"`` (nothing arrived) or ``"eof"``.
-        Non-timeout ``OSError`` propagates to the caller."""
-        sock = self._connect()
-        sock.settimeout(timeout)
-        try:
-            chunk = sock.recv(65536)
-        except (socket.timeout, BlockingIOError, InterruptedError):
-            return "idle"
-        finally:
-            try:
-                sock.settimeout(self.timeout)
-            except OSError:
-                pass
-        if not chunk:
-            return "eof"
-        self._ack_buf += chunk
-        return "data"
 
     def poll(self) -> bool:
-        """Non-blocking ack pump: drain available ack bytes and
-        process complete frames.  Connection trouble here is left for
-        the blocking paths (send/wait_ack) to repair."""
-        if self.closed or not self.ack_pending():
-            return False
-        progressed = self._parse_ack_frames()
-        try:
-            status = self._recv_ack_bytes(0.0)
-        except OSError:
-            self._drop_connection()
-            return progressed
-        if status == "eof":
-            self._drop_connection()
-            return progressed
-        return self._parse_ack_frames() or progressed
+        """Serve both ends until neither has anything ready, whether
+        or not an ack is pending (heartbeats, uncommitted frames).  A
+        dropped connection is left for send/wait_ack to repair."""
+        progressed = False
+        while not self.closed and self._io(0.0):
+            progressed = True
+        return progressed
 
     def ack_pending(self) -> bool:
         return self._acked_through < self._next_seq - 1
@@ -1081,80 +1086,57 @@ class SocketTransport(Transport):
             return 0.0
         target = self._next_seq - 1
         started = time.monotonic()
-        deadline = started + self.timeout
-        failures = 0
         while self._acked_through < target:
-            if self._parse_ack_frames():
-                continue
-            self._service_others()
-            # Muxed: short reads so the rest of the fleet keeps moving,
-            # bounded by an overall deadline.  Unmuxed: one blocking
-            # read with the full timeout, as before.
-            if self.mux is not None and time.monotonic() > deadline:
+            remaining = started + self.timeout - time.monotonic()
+            if remaining <= 0:
                 raise TransportError("timed out waiting for backup ack")
-            read_timeout = 0.05 if self.mux is not None else self.timeout
             try:
-                status = self._recv_ack_bytes(read_timeout)
+                self._connect()     # after a reset: reconnect, retransmit
             except OSError as exc:
-                self._drop_connection()
-                failures += 1
-                if failures > 3:
-                    raise TransportError(f"ack read failed: {exc}") from exc
-                continue
-            if status == "eof":
-                # Our end of the link went away (e.g. an injected reset
-                # between send and wait): reconnect and retransmit.
-                self._drop_connection()
-                failures += 1
-                if failures > 3:
-                    raise TransportError("backup closed the link mid-ack")
-                continue
-            if status == "idle" and self.mux is None:
-                raise TransportError("timed out waiting for backup ack")
+                raise TransportError(f"ack wait failed: {exc}") from exc
+            if self.mux is not None:
+                self.mux.wait(remaining)
+            else:
+                self._io(remaining)
         waited = time.monotonic() - started
         self.stats.ack_wait_time += waited
         return waited
 
     # -- completion ----------------------------------------------------
-    def truncate(self, n_records: int) -> None:
-        with self._cv:
-            del self.delivered[:n_records]
-            self._truncated += n_records
+    def _serve_until(self, done: Callable[[], bool]) -> None:
+        deadline = time.monotonic() + self.timeout
+        while not done():
+            if not self._io(deadline - time.monotonic()):
+                raise TransportError("receiver did not drain in time")
 
     def crash_sender(self) -> None:
+        if self.closed:
+            return
         super().crash_sender()
-        self._drop_connection()    # flushes in-flight bytes, then EOF
         try:
-            self._listener.close()  # unblocks accept → receiver EOF
-        except OSError:
-            pass
-        self.drain()
+            if self._sender is not None:
+                # FIN after the in-flight bytes: the receiving end
+                # reads them all, then EOF.
+                self._sender.shutdown(socket.SHUT_WR)
+            self._serve_until(lambda: self._eofs >= self._connects)
+        finally:
+            self.close()
 
     def settle(self) -> None:
-        """The sender is alive: ack everything outstanding (forcing a
-        reconnect-retransmit round if a reset is pending), then drain."""
+        """The sender is alive: ack everything outstanding (after a
+        reset, by reconnect and retransmit); an ack proves delivery."""
         self.wait_ack()
-        self.drain()
 
     def drain(self) -> None:
-        deadline = time.monotonic() + self.timeout
-        with self._cv:
-            while (len(self.delivered) + self._truncated < self._records_sent
-                   and not self._eof):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TransportError("receiver did not drain in time")
-                self._cv.wait(remaining)
+        if not self.closed:
+            self._serve_until(lambda: self._expected >= self._next_seq)
 
     def close(self) -> None:
         super().close()
-        for sock in (self._sender, self._receiver_sock, self._listener):
+        for sock in (self._sender, self._receiver, self._listener):
             if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-        self._thread.join(timeout=1.0)
+                sock.close()
+        self._sender = self._receiver = self._listener = None
 
     def fresh(self) -> "SocketTransport":
         return SocketTransport(
@@ -1175,8 +1157,8 @@ class TransportMux:
       fleet's idle loop;
     * while any member *blocks* (an output-commit ack wait, a send
       backpressure stall), it calls :meth:`poll_others` between its own
-      steps, so one stalled group's link never freezes the rest of the
-      fleet's frames.
+      steps or, on sockets, sleeps in :meth:`wait`, so one stalled
+      group's link never freezes the rest of the fleet's frames.
     """
 
     def __init__(self) -> None:
@@ -1216,6 +1198,24 @@ class TransportMux:
             if transport.poll():
                 progressed = True
         return progressed
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until a member's socket needs service — at most
+        ``timeout`` seconds, and not at all if a socketless member
+        progressed by being polled — then serve every ready member:
+        how one member waits out its ack without freezing the rest."""
+        owner: Dict[socket.socket, Transport] = {}
+        polled = False
+        for transport in self._members:
+            if not transport.closed:
+                watched = transport._watched()
+                owner.update((sock, transport) for sock in watched)
+                if not watched and transport.poll():
+                    polled = True
+        ready = select.select(list(owner), [], [],
+                              0.0 if polled else timeout)[0]
+        for transport in dict.fromkeys(owner[sock] for sock in ready):
+            transport._service(ready)
 
     def ack_pending(self) -> bool:
         return any(t.ack_pending() for t in self._members)

@@ -24,6 +24,7 @@ from repro.conform import (
     workload_names,
     write_report,
 )
+from tests.integration.test_transport_failover import needs_sockets
 
 REPORT_KEYS = {"version", "tool", "config", "cells", "totals", "ok"}
 CELL_KEYS = {"workload", "strategy", "transport", "engine",
@@ -97,7 +98,12 @@ def test_workload_registry_is_stable():
 @pytest.mark.conform
 @pytest.mark.slow
 @pytest.mark.parametrize("strategy", ["lock_sync", "thread_sched"])
-@pytest.mark.parametrize("transport", ["memory", "faulty:flaky"])
+@pytest.mark.parametrize("transport", [
+    "memory", "faulty:flaky",
+    # Every crash index again over localhost TCP: delivery is driven by
+    # the caller, so the cell is as deterministic as the in-memory one.
+    pytest.param("socket", marks=[pytest.mark.socket, needs_sockets]),
+])
 def test_counter_sweep_has_zero_divergences(strategy, transport):
     spec = make_cell_spec("counter", strategy, transport)
     cell = sweep_cell(spec)
