@@ -1,246 +1,98 @@
-"""Recovery-time benchmark: replay cost and log memory vs checkpoint
+"""Bounded recovery, counted: retained log and replay tail vs checkpoint
 interval.
 
 The paper's promote-the-backup recovery replays the retained log; with
 an unbounded log that replay grows with run length.  Steady-state
-incremental checkpointing truncates the log at every adopted delta, so
-the sweep below trades three quantities against the emission interval:
+incremental checkpointing truncates the log at every adopted delta.
+For each emission interval the sweep below runs ``db`` crash-free and
+then with a late crash, and reports what the program *counted*:
 
-* **recovery work** — restore cost plus tail replay, in simulated
-  bytecode-equivalent units (the cost model's ``checkpoint_restore``
-  and ``replay_record`` weights);
-* **log memory** — the retained log's high-water mark in records (what
+* **checkpoints** adopted during the crash-free run;
+* **log max** — the retained log's high-water mark in records (what
   the primary must keep buffered for a future promotion);
-* **steady-state throughput** — primary-side simulated time of a
-  crash-free run, where every delta pays capture, wire, compose, and
-  commit-ack costs.
+* **replay tail** — the records the promoted backup actually replayed;
+* **output ok** — the crashed run's console equals the crash-free one.
 
-The ``None`` row is the infinite-interval baseline: the log is never
-truncated and a late crash replays the whole history.
+The ``inf`` row is the no-checkpoint baseline: the log is never
+truncated and a late crash replays the whole history.  What an interval
+costs and saves in *time* is measured by
+``python3 benchmarks/wallclock/run.py --workload serve_recovery``.
 
-Usable two ways:
-
-* as a script (CI's recovery-smoke job)::
-
-      PYTHONPATH=src python benchmarks/bench_recovery.py \
-          --profile test --json BENCH_recovery.json
-
-  exits non-zero when any cell loses output equivalence or the sweep
-  fails its bounded-recovery / bounded-overhead checks;
-
-* under pytest (``pytest benchmarks/bench_recovery.py``), honoring
-  ``REPRO_BENCH_PROFILE=test`` and writing both the rendered table and
-  ``BENCH_recovery.json`` to ``benchmarks/results/``.
+Run under pytest (``pytest benchmarks/bench_recovery.py``), honoring
+``REPRO_BENCH_PROFILE=test``; the table lands in ``benchmarks/results/``.
 """
 
-import argparse
-import json
-import os
-import sys
-import time
-
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+from repro.env.environment import Environment
+from repro.harness.tables import render_table
+from repro.replication.config import ReplicationConfig
+from repro.replication.machine import ReplicatedJVM
+from repro.workloads import BY_NAME
 
 #: Interval sweep per profile (``None`` = never checkpoint, the
 #: unbounded baseline).  The test profile's run is short (~130
 #: qualifying slices), so its finite intervals are small; the bench
 #: profile has ~3000 slices and can amortize a large interval.
-_SWEEP = {
-    "test": {"workload": "db", "strategy": "lock_sync",
-             "intervals": (None, 32, 8, 2)},
-    "bench": {"workload": "db", "strategy": "lock_sync",
-              "intervals": (None, 1024, 256, 64, 16, 4)},
+_INTERVALS = {
+    "test": (None, 32, 8, 2),
+    "bench": (None, 1024, 256, 64, 16, 4),
 }
-
-#: Steady-state overhead budget for the headline operating point: at
-#: least one finite interval must stay within this fraction of the
-#: no-checkpoint baseline's throughput (bench profile).
-_OVERHEAD_BUDGET = 0.10
+_WORKLOAD = "db"
+_STRATEGY = "lock_sync"
 
 
-def _fresh_machine(workload, profile, strategy, interval):
-    from repro.env.environment import Environment
-    from repro.replication.config import ReplicationConfig
-    from repro.replication.machine import ReplicatedJVM
-
+def _run_cell(workload, profile, interval):
+    """One interval: a crash-free run, then a late-crash recovery run
+    at the same configuration."""
     env = Environment()
     workload.prepare_env(env, profile)
-    return ReplicatedJVM(
+    steady = ReplicatedJVM(
         workload.compile(profile), env=env,
-        config=ReplicationConfig(strategy=strategy,
+        config=ReplicationConfig(strategy=_STRATEGY,
                                  checkpoint_interval=interval))
-
-
-def _run_cell(workload, profile, strategy, interval, cost):
-    """One interval: a crash-free throughput run, then a late-crash
-    recovery run at the same configuration."""
-    steady = _fresh_machine(workload, profile, strategy, interval)
     result = steady.run(workload.main_class)
     assert result.outcome == "primary_completed", result.outcome
-    reference = steady.env.console.lines()
     pm = steady.primary_metrics
-    events = steady.shipper.injector.events
 
-    from repro.env.environment import Environment
     crash_env = Environment()
     workload.prepare_env(crash_env, profile)
-    crash_at = max(1, events - 2)
-    crashed = steady.clone(env=crash_env, crash_at=crash_at)
-    crash_result = crashed.run(workload.main_class)
-    assert crash_result.failed_over, interval
-    bm = crashed.backup_metrics
-
-    recovery_units = (
-        bm.checkpoints_restored * cost.checkpoint_restore
-        + bm.recovery_tail_records * cost.replay_record
-    )
+    crashed = steady.clone(
+        env=crash_env, crash_at=max(1, steady.shipper.injector.events - 2))
+    assert crashed.run(workload.main_class).failed_over, interval
     return {
         "interval": interval,
-        "events": events,
-        "crash_at": crash_at,
-        "emissions": pm.deltas_shipped + (1 if pm.checkpoint_records
-                                          and interval else 0),
-        "deltas_shipped": pm.deltas_shipped,
-        "delta_bytes": pm.delta_bytes,
+        "checkpoints": pm.deltas_shipped + (1 if pm.checkpoint_records
+                                            and interval else 0),
         "records_truncated": pm.records_truncated,
         "log_records_max": pm.retained_records_max,
-        "recovery_tail_records": bm.recovery_tail_records,
-        "records_replayed": bm.records_replayed,
-        "checkpoints_restored": bm.checkpoints_restored,
-        "recovery_units": recovery_units,
-        "throughput_units": cost.primary_time(pm, strategy),
-        "output_ok": crash_env.console.lines() == reference,
+        "recovery_tail_records": crashed.backup_metrics.recovery_tail_records,
+        "output_ok": crash_env.console.lines() == env.console.lines(),
     }
 
 
-def run_suite(profile="bench"):
-    from repro.harness.costs import DEFAULT_COST_MODEL
-    from repro.workloads import BY_NAME
-
-    shape = _SWEEP[profile]
-    workload = BY_NAME[shape["workload"]]
-    cells = []
-    start = time.perf_counter()
-    for interval in shape["intervals"]:
-        cells.append(_run_cell(workload, profile, shape["strategy"],
-                               interval, DEFAULT_COST_MODEL))
-    baseline = next(c for c in cells if c["interval"] is None)
-    for cell in cells:
-        cell["overhead_vs_baseline"] = round(
-            cell["throughput_units"] / baseline["throughput_units"] - 1, 4)
-        cell["recovery_speedup"] = round(
-            (baseline["recovery_tail_records"] or 1)
-            / max(1, cell["recovery_tail_records"]), 1)
-    return {
-        "profile": profile,
-        "workload": shape["workload"],
-        "strategy": shape["strategy"],
-        "overhead_budget": _OVERHEAD_BUDGET,
-        "cells": cells,
-        "wall_seconds": round(time.perf_counter() - start, 3),
-    }
-
-
-def render(report):
-    from repro.harness.tables import render_table
-    rows = []
-    for cell in report["cells"]:
-        rows.append([
-            "inf" if cell["interval"] is None else cell["interval"],
-            cell["emissions"],
-            cell["log_records_max"],
-            cell["recovery_tail_records"],
-            f"{cell['recovery_units']:,.0f}",
-            f"{cell['recovery_speedup']:.1f}x",
-            f"{cell['overhead_vs_baseline']:+.1%}",
-            "yes" if cell["output_ok"] else "NO",
-        ])
-    return render_table(
-        f"Recovery time vs checkpoint interval "
-        f"({report['workload']}, {report['strategy']}, "
-        f"profile={report['profile']})",
-        ["Interval", "Ckpts", "Log max", "Replay tail",
-         "Recovery units", "Speedup", "Overhead", "Output ok"],
-        rows,
-    )
-
-
-def _violations(report):
-    """Sweep-level checks: equivalence everywhere, bounded recovery,
-    and (bench profile) a sub-budget operating point."""
-    bad = []
-    cells = report["cells"]
-    baseline = next(c for c in cells if c["interval"] is None)
-    finite = [c for c in cells if c["interval"] is not None]
-    for cell in cells:
-        if not cell["output_ok"]:
-            bad.append(f"interval={cell['interval']}: output diverged")
-    if baseline["records_truncated"] > 1:
-        bad.append("baseline truncated its log without checkpointing")
-    for cell in finite:
-        if not cell["records_truncated"]:
-            bad.append(f"interval={cell['interval']}: log never truncated")
-        if cell["recovery_tail_records"] \
-                >= baseline["recovery_tail_records"]:
-            bad.append(f"interval={cell['interval']}: replay tail "
-                       f"{cell['recovery_tail_records']} not below the "
-                       f"unbounded baseline "
-                       f"{baseline['recovery_tail_records']}")
-    # Shorter intervals must never retain more log than longer ones.
-    by_interval = sorted(finite, key=lambda c: c["interval"])
-    marks = [c["log_records_max"] for c in by_interval]
-    if marks != sorted(marks):
-        bad.append(f"log high-water marks not monotone in interval: "
-                   f"{marks}")
-    if report["profile"] == "bench":
-        budget = report["overhead_budget"]
-        if not any(c["overhead_vs_baseline"] <= budget for c in finite):
-            bad.append(f"no finite interval within the {budget:.0%} "
-                       f"steady-state overhead budget")
-    return bad
-
-
-# ----------------------------------------------------------------------
-# pytest entry point
-# ----------------------------------------------------------------------
 def test_recovery_bench(bench_profile, save_result):
-    report = run_suite(bench_profile)
-    save_result("recovery_intervals", render(report))
-    results_dir = os.path.join(os.path.dirname(__file__), "results")
-    with open(os.path.join(results_dir, "BENCH_recovery.json"), "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    assert not _violations(report)
+    workload = BY_NAME[_WORKLOAD]
+    cells = [_run_cell(workload, bench_profile, interval)
+             for interval in _INTERVALS[bench_profile]]
+    save_result("recovery_intervals", render_table(
+        f"Retained log and replay tail vs checkpoint interval "
+        f"({_WORKLOAD}, {_STRATEGY}, profile={bench_profile})",
+        ["Interval", "Ckpts", "Log max", "Replay tail", "Output ok"],
+        [["inf" if c["interval"] is None else c["interval"],
+          c["checkpoints"], c["log_records_max"],
+          c["recovery_tail_records"], "yes" if c["output_ok"] else "NO"]
+         for c in cells],
+    ))
 
-
-# ----------------------------------------------------------------------
-# script entry point (CI recovery smoke)
-# ----------------------------------------------------------------------
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--profile", default=os.environ.get(
-        "REPRO_BENCH_PROFILE", "bench"), choices=sorted(_SWEEP))
-    parser.add_argument("--json", default="BENCH_recovery.json",
-                        metavar="PATH", help="write the report here")
-    args = parser.parse_args(argv)
-
-    report = run_suite(args.profile)
-    with open(args.json, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(render(report))
-    best = min((c for c in report["cells"] if c["interval"] is not None),
-               key=lambda c: c["recovery_tail_records"])
-    print(f"bounded recovery: tail {best['recovery_tail_records']} "
-          f"record(s) at interval {best['interval']} "
-          f"({best['recovery_speedup']}x vs unbounded baseline)")
-    bad = _violations(report)
-    if bad:
-        for line in bad:
-            print(f"FAIL: {line}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    baseline, finite = cells[0], cells[1:]
+    assert all(c["output_ok"] for c in cells)
+    # Without checkpointing the log is never truncated ...
+    assert baseline["records_truncated"] <= 1
+    for cell in finite:
+        # ... with it, it is, and the replay tail drops below the
+        # whole-history baseline.
+        assert cell["records_truncated"] > 0, cell
+        assert cell["recovery_tail_records"] \
+            < baseline["recovery_tail_records"], cell
+    # Shorter intervals never retain more log than longer ones.
+    marks = [c["log_records_max"] for c in finite]
+    assert marks == sorted(marks, reverse=True)

@@ -338,9 +338,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     keyspace = args.keyspace
     if keyspace is None:
         keyspace = int(DB_SERVER.params_for(args.profile)["keyspace"])
-    spec = TrafficSpec(qps=args.qps, n_requests=args.requests,
-                       n_clients=args.clients, keyspace=keyspace,
-                       seed=args.seed)
+    spec = TrafficSpec(n_requests=args.requests, n_clients=args.clients,
+                       keyspace=keyspace, seed=args.seed)
     crash_for = None
     if args.crash_shard is not None:
         if args.voting:
@@ -425,7 +424,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         lie_shard=args.lie_shard,
         transport_for=transport_for,
     )
-    metrics = fleet.serve_open_loop(spec)
+    metrics = fleet.serve(spec)
     report = metrics.as_dict()
     if args.json:
         with open(args.json, "w") as fh:
@@ -437,10 +436,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
           f"lost={metrics.responses_lost} "
           f"duplicated={metrics.responses_duplicated} "
           f"wrong={metrics.responses_wrong}]", file=sys.stderr)
-    print(f"[latency p50={metrics.p50_latency_ms:.3f}ms "
-          f"p99={metrics.p99_latency_ms:.3f}ms "
-          f"throughput={metrics.throughput_rps:.1f}rps "
-          f"makespan={metrics.makespan_ms:.1f}ms]", file=sys.stderr)
     print(f"[failovers={metrics.failovers_absorbed} "
           f"requeued={metrics.requests_requeued} "
           f"exactly_once={metrics.exactly_once}]", file=sys.stderr)
@@ -697,12 +692,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fleet = sub.add_parser(
         "fleet",
-        help="serve open-loop traffic on a sharded replica fleet",
+        help="serve seeded request traffic on a sharded replica fleet",
     )
     p_fleet.add_argument("--shards", type=int, default=3, metavar="N",
                          help="replica groups, one keyspace shard each")
-    p_fleet.add_argument("--qps", type=float, default=400.0,
-                         help="open-loop arrival rate")
     p_fleet.add_argument("--requests", type=int, default=500, metavar="N")
     p_fleet.add_argument("--clients", type=int, default=8, metavar="N",
                          help="simulated client ids issuing requests")

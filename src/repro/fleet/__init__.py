@@ -1,25 +1,21 @@
-"""Sharded replica fleet serving open-loop traffic.
+"""Sharded replica fleet serving request traffic.
 
 ``Fleet`` fronts N :class:`~repro.replication.supervisor.ReplicaGroup`\\ s
 (one hash shard of the keyspace each) with a request router and one
 :class:`~repro.replication.transport.TransportMux` event loop;
-:mod:`~repro.fleet.traffic` generates seeded open-loop load and the
-serial reference answers; :mod:`~repro.fleet.metrics` reports latency
-percentiles, throughput, and the exactly-once verdict.
+:mod:`~repro.fleet.traffic` generates the seeded arrival schedule and
+the serial reference answers; :mod:`~repro.fleet.metrics` reports what
+was routed, committed, requeued and failed over, and the exactly-once
+verdict.
 """
 
 from repro.fleet.degradation import DegradationController
-from repro.fleet.fleet import UNITS_PER_MS, Fleet, key_of, shard_of
-from repro.fleet.metrics import (
-    FleetServingMetrics,
-    ShardServingMetrics,
-    percentile,
-)
+from repro.fleet.fleet import Fleet, key_of, shard_of
+from repro.fleet.metrics import FleetServingMetrics, ShardServingMetrics
 from repro.fleet.traffic import (
     Request,
     TrafficSpec,
     generate,
-    iter_requests,
     reference_responses,
 )
 
@@ -30,11 +26,8 @@ __all__ = [
     "Request",
     "ShardServingMetrics",
     "TrafficSpec",
-    "UNITS_PER_MS",
     "generate",
-    "iter_requests",
     "key_of",
-    "percentile",
     "reference_responses",
     "shard_of",
 ]

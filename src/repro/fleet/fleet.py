@@ -1,4 +1,4 @@
-"""A sharded fleet of replica groups serving open-loop traffic.
+"""A sharded fleet of replica groups serving request traffic.
 
 The fleet is the paper's architecture scaled out: N independent
 :class:`~repro.replication.supervisor.ReplicaGroup`\\ s, each the
@@ -13,7 +13,7 @@ stable response log.
 A primary crash inside any pump is absorbed by the group's serving
 lifecycle (replay, uncertain-tail resolution, request-port
 reconciliation, checkpoint re-arm) while the other shards keep serving;
-the fleet only observes it as a latency spike on that shard.
+the fleet only observes it as a new generation on that shard.
 
 All shard transports register with one
 :class:`~repro.replication.transport.TransportMux`, so a group blocking
@@ -21,12 +21,10 @@ on an output-commit ack services the *other* groups' transports from
 inside its wait loop — one event loop over all connections, no shard
 stalled behind another.
 
-Timing is simulated: request service cost is measured in executed
-bytecodes and priced through
-:class:`~repro.harness.costs.CostModel`, then converted to
-milliseconds; open-loop arrivals come from
-:mod:`repro.fleet.traffic`.  Queueing is real — a slow (or failing
-over) shard builds a backlog that later requests wait behind.
+The fleet reports what happened — routed, committed, requeued, failed
+over, exactly once or not — and keeps no clock: serving latency and
+throughput are measured by ``benchmarks/wallclock/``, which paces the
+arrival schedule of :mod:`repro.fleet.traffic` in real time.
 """
 
 from __future__ import annotations
@@ -43,16 +41,12 @@ from repro.fleet.traffic import (
     generate,
     reference_responses,
 )
-from repro.harness.costs import CostModel
 from repro.replication.config import ReplicationConfig
 from repro.replication.supervisor import ReplicaGroup
 from repro.replication.transport import Transport, TransportMux, make_transport
 from repro.replication.voting import VotingGroup
 from repro.workloads import DB_SERVER
 from repro.workloads.base import Workload
-
-#: Simulated bytecode-equivalents per millisecond of serving time.
-UNITS_PER_MS = 5000.0
 
 
 def shard_of(key: int, n_shards: int) -> int:
@@ -87,7 +81,6 @@ class Fleet:
         profile: str = "test",
         config: Optional[ReplicationConfig] = None,
         crash_schedule_for: Optional[Callable[[int], object]] = None,
-        cost_model: Optional[CostModel] = None,
         lie_shard: Optional[int] = None,
         transport_for: Optional[Callable[[int], object]] = None,
     ) -> None:
@@ -97,7 +90,6 @@ class Fleet:
         self.workload = workload
         self.profile = profile
         self.port = str(workload.params_for(profile).get("port", "req"))
-        self.cost = cost_model or CostModel()
         self.mux = TransportMux()
         base = config or ReplicationConfig()
         self.voting = bool(base.voting)
@@ -151,8 +143,6 @@ class Fleet:
                     self.degradation.on_divergence(s, div)
                 )
         self._started = False
-        #: Per-shard simulated time through which the shard is busy.
-        self._busy_until_ms = [0.0] * n_shards
 
     # ------------------------------------------------------------------
     def _muxed_factory(self, base_spec, shard: int):
@@ -196,18 +186,14 @@ class Fleet:
         return shard
 
     # ------------------------------------------------------------------
-    def serve_open_loop(
+    def serve(
         self,
         traffic: Union[TrafficSpec, Sequence[Request]],
     ) -> FleetServingMetrics:
-        """Drive one open-loop traffic run to completion and verify it.
-
-        Requests are delivered in arrival order; each delivery pumps
-        the owning shard to its next quiescent point, measuring service
-        cost in executed bytecodes (priced through the cost model) and
-        folding it into a per-shard busy clock — so queueing delay and
-        failover gaps show up in the latency distribution, exactly the
-        open-loop behavior a closed-loop driver would hide."""
+        """Serve one traffic run to completion and verify it: deliver
+        each request in arrival order, pumping its shard to the next
+        quiescent point; stop; check every committed response against
+        the serial reference."""
         self.start()
         requests = (generate(traffic) if isinstance(traffic, TrafficSpec)
                     else list(traffic))
@@ -220,41 +206,9 @@ class Fleet:
             group = self.groups[shard]
             sm = shards[shard]
             sm.requests_routed += 1
-
             failures_before = group.failures_survived
-            jvm_before = group.active_jvm
-            instr_before = jvm_before.instructions
-
-            still = group.pump()
-
-            crashes = group.failures_survived - failures_before
-            jvm_after = group.active_jvm if still else group.final_jvm
-            if jvm_after is jvm_before:
-                instr_delta = jvm_after.instructions - instr_before
-            else:
-                # Failed over: the instruction counter is continuous
-                # across checkpoint restore, so the delta still bounds
-                # the new work; never let clock go backwards.
-                instr_delta = max(
-                    0, (jvm_after.instructions if jvm_after is not None
-                        else instr_before) - instr_before
-                )
-            service_units = (
-                instr_delta * (self.cost.instr_unit
-                               + self.cost.dispatch_rate(
-                                   group.base_config.engine))
-                + self.cost.request_overhead()
-                + crashes * self.cost.failover_gap
-            )
-            start_ms = max(req.arrival_ms, self._busy_until_ms[shard])
-            completion_ms = start_ms + service_units / UNITS_PER_MS
-            self._busy_until_ms[shard] = completion_ms
-            latency = completion_ms - req.arrival_ms
-            sm.latencies_ms.append(latency)
-            fm.latencies_ms.append(latency)
-            sm.failovers_absorbed += crashes
-            if completion_ms > fm.makespan_ms:
-                fm.makespan_ms = completion_ms
+            group.pump()
+            sm.failovers_absorbed += group.failures_survived - failures_before
 
         self.stop()
         self._account(fm, shards, requests)
@@ -280,19 +234,17 @@ class Fleet:
             responses = group.env.responses
             sm.duplicates = responses.duplicates
             sm.generations = len(group.reports)
-            sm.requests_requeued = sum(
-                r.recovery_metrics.requests_requeued
-                for r in group.reports if r.recovery_metrics is not None
-            )
-            for report in group.reports:
-                for replica_metrics in (report.primary_metrics,
-                                        report.recovery_metrics):
-                    if replica_metrics is not None:
-                        sm.absorb_replica_counters(replica_metrics)
             if self.voting:
-                # Quorum counters are group-owned, not per-era.
-                sm.absorb_replica_counters(group.metrics)
+                # A voting group folds its eras itself, beside the
+                # quorum counters it owns.
+                sm.absorb(group.metrics)
                 sm.engine = group.base_config.engine
+            else:
+                for report in group.reports:
+                    for replica in (report.primary_metrics,
+                                    report.recovery_metrics):
+                        if replica is not None:
+                            sm.absorb(replica)
             for req in by_shard[shard]:
                 answer = responses.get(req.rid)
                 if answer is None:
@@ -301,21 +253,10 @@ class Fleet:
                     fm.responses_wrong += 1
                 else:
                     sm.responses_committed += 1
+            fm.absorb(sm)
             fm.responses_committed += sm.responses_committed
             fm.responses_duplicated += sm.duplicates
             fm.failovers_absorbed += sm.failovers_absorbed
-            fm.requests_requeued += sm.requests_requeued
-            fm.members_quarantined += sm.members_quarantined
-            fm.members_rearmed += sm.members_rearmed
-            fm.variant_divergences += sm.variant_divergences
-            fm.members_suspected += sm.members_suspected
-            fm.suspicions_cleared += sm.suspicions_cleared
-            fm.engine_demotions += sm.engine_demotions
-            fm.votes_cast += sm.votes_cast
-            fm.quorum_certs += sm.quorum_certs
-            fm.outputs_gated += sm.outputs_gated
-            fm.blocks_compiled += sm.blocks_compiled
-            fm.block_cache_hits += sm.block_cache_hits
         if self.degradation is not None and self.degradation.demoted:
             fm.degraded_to = self.degradation.target_engine
         fm.per_shard = shards

@@ -1,99 +1,74 @@
-"""Fleet-level serving metrics: latency, throughput, failovers.
+"""Fleet-level serving metrics: what was served, and what it survived.
 
 Per-replica event counters live in
-:class:`repro.replication.metrics.ReplicationMetrics` (including the
-serving counters ``requests_ingested`` / ``responses_committed`` /
-``requests_requeued``); this module aggregates them across shards and
-adds the traffic-facing view — latency percentiles over the simulated
-clock and sustained throughput — priced into simulated time by
-:meth:`repro.harness.costs.CostModel.fleet_breakdown`.
+:class:`repro.replication.metrics.ReplicationMetrics`; this module
+carries a named few of them up — replica to shard, shard to fleet,
+through the one :func:`~repro.replication.metrics.fold` — and adds the
+traffic-facing view: requests routed, responses verified against the
+serial reference, failovers absorbed, and the exactly-once verdict.
+
+These are counts.  How *fast* a fleet serves is measured on the wall
+clock by ``benchmarks/wallclock/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List
 
-
-def percentile(samples: List[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]); 0.0 on no samples."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
+from repro.replication.metrics import fold
 
 
 @dataclass
-class ShardServingMetrics:
-    """One shard group's slice of the traffic."""
+class ReplicaCounters:
+    """The :class:`~repro.replication.metrics.ReplicationMetrics`
+    counters a serving report carries, under the same names."""
 
-    shard: int
-    requests_routed: int = 0
-    responses_committed: int = 0
-    duplicates: int = 0
-    failovers_absorbed: int = 0
-    generations: int = 1
+    #: Requests found lost in flight at a failover and requeued.
     requests_requeued: int = 0
+    #: Quorum-voting counters (all zero for crash-fault-only shards).
     members_quarantined: int = 0
     members_rearmed: int = 0
     variant_divergences: int = 0
-    #: Quorum-voting counters (all zero for crash-fault-only shards).
     votes_cast: int = 0
     quorum_certs: int = 0
     outputs_gated: int = 0
     members_suspected: int = 0
     suspicions_cleared: int = 0
     engine_demotions: int = 0
-    #: Superinstruction-compiler counters summed over the shard's
-    #: replicas (zero unless a member ran ``engine="block"``).
+    #: Superinstruction-compiler counters (zero unless a replica ran
+    #: ``engine="block"``).
     blocks_compiled: int = 0
     block_cache_hits: int = 0
-    #: Execution engine the shard ended the run on ("" = non-voting).
-    engine: str = ""
-    latencies_ms: List[float] = field(default_factory=list)
 
-    def absorb_replica_counters(self, metrics) -> None:
-        """Fold one replica's Byzantine and engine counters into this
-        shard's view.  ``getattr`` with a default keeps this a no-op
-        for metrics objects predating a counter."""
-        for name in ("members_quarantined", "members_rearmed",
-                     "variant_divergences", "votes_cast", "quorum_certs",
-                     "outputs_gated", "members_suspected",
-                     "suspicions_cleared", "engine_demotions",
-                     "blocks_compiled", "block_cache_hits"):
-            setattr(self, name,
-                    getattr(self, name) + getattr(metrics, name, 0))
+    def absorb(self, other) -> None:
+        """Fold in a replica's ``ReplicationMetrics``, or a shard's
+        counters into the fleet's."""
+        fold(self, other, _REPLICA_COUNTERS)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "shard": self.shard,
-            "requests_routed": self.requests_routed,
-            "responses_committed": self.responses_committed,
-            "duplicates": self.duplicates,
-            "failovers_absorbed": self.failovers_absorbed,
-            "generations": self.generations,
-            "requests_requeued": self.requests_requeued,
-            "members_quarantined": self.members_quarantined,
-            "members_rearmed": self.members_rearmed,
-            "variant_divergences": self.variant_divergences,
-            "votes_cast": self.votes_cast,
-            "quorum_certs": self.quorum_certs,
-            "outputs_gated": self.outputs_gated,
-            "members_suspected": self.members_suspected,
-            "suspicions_cleared": self.suspicions_cleared,
-            "engine_demotions": self.engine_demotions,
-            "blocks_compiled": self.blocks_compiled,
-            "block_cache_hits": self.block_cache_hits,
-            "engine": self.engine,
-            "p50_latency_ms": percentile(self.latencies_ms, 50),
-            "p99_latency_ms": percentile(self.latencies_ms, 99),
-        }
+
+_REPLICA_COUNTERS = tuple(f.name for f in fields(ReplicaCounters))
 
 
 @dataclass
-class FleetServingMetrics:
+class ShardServingMetrics(ReplicaCounters):
+    """One shard group's slice of the traffic."""
+
+    shard: int = 0
+    requests_routed: int = 0
+    responses_committed: int = 0
+    duplicates: int = 0
+    failovers_absorbed: int = 0
+    generations: int = 1
+    #: Execution engine the shard ended the run on ("" = non-voting).
+    engine: str = ""
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
+@dataclass
+class FleetServingMetrics(ReplicaCounters):
     """The whole fleet's view of one traffic run."""
 
     n_shards: int = 0
@@ -106,41 +81,9 @@ class FleetServingMetrics:
     #: Responses whose text differs from the serial reference (must be 0).
     responses_wrong: int = 0
     failovers_absorbed: int = 0
-    requests_requeued: int = 0
-    #: Byzantine-mode counters, summed across shards (all zero for
-    #: crash-fault-only fleets).
-    members_quarantined: int = 0
-    members_rearmed: int = 0
-    variant_divergences: int = 0
-    votes_cast: int = 0
-    quorum_certs: int = 0
-    outputs_gated: int = 0
-    members_suspected: int = 0
-    suspicions_cleared: int = 0
-    engine_demotions: int = 0
-    #: Superinstruction-compiler counters summed across the fleet.
-    blocks_compiled: int = 0
-    block_cache_hits: int = 0
     #: Engine the fleet degraded to ("" = never demoted).
     degraded_to: str = ""
-    #: Simulated wall-clock of the run (first arrival -> last completion).
-    makespan_ms: float = 0.0
-    latencies_ms: List[float] = field(default_factory=list)
     per_shard: List[ShardServingMetrics] = field(default_factory=list)
-
-    @property
-    def p50_latency_ms(self) -> float:
-        return percentile(self.latencies_ms, 50)
-
-    @property
-    def p99_latency_ms(self) -> float:
-        return percentile(self.latencies_ms, 99)
-
-    @property
-    def throughput_rps(self) -> float:
-        if self.makespan_ms <= 0:
-            return 0.0
-        return self.responses_committed / (self.makespan_ms / 1000.0)
 
     @property
     def exactly_once(self) -> bool:
@@ -148,31 +91,4 @@ class FleetServingMetrics:
                 and self.responses_wrong == 0)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "n_shards": self.n_shards,
-            "requests_offered": self.requests_offered,
-            "responses_committed": self.responses_committed,
-            "responses_lost": self.responses_lost,
-            "responses_duplicated": self.responses_duplicated,
-            "responses_wrong": self.responses_wrong,
-            "failovers_absorbed": self.failovers_absorbed,
-            "requests_requeued": self.requests_requeued,
-            "members_quarantined": self.members_quarantined,
-            "members_rearmed": self.members_rearmed,
-            "variant_divergences": self.variant_divergences,
-            "votes_cast": self.votes_cast,
-            "quorum_certs": self.quorum_certs,
-            "outputs_gated": self.outputs_gated,
-            "members_suspected": self.members_suspected,
-            "suspicions_cleared": self.suspicions_cleared,
-            "engine_demotions": self.engine_demotions,
-            "blocks_compiled": self.blocks_compiled,
-            "block_cache_hits": self.block_cache_hits,
-            "degraded_to": self.degraded_to,
-            "makespan_ms": round(self.makespan_ms, 3),
-            "p50_latency_ms": round(self.p50_latency_ms, 3),
-            "p99_latency_ms": round(self.p99_latency_ms, 3),
-            "throughput_rps": round(self.throughput_rps, 1),
-            "exactly_once": self.exactly_once,
-            "per_shard": [s.as_dict() for s in self.per_shard],
-        }
+        return {**asdict(self), "exactly_once": self.exactly_once}

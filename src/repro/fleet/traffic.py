@@ -4,7 +4,9 @@ The generator is *open-loop*: arrival times come from a seeded
 exponential inter-arrival process at a target QPS and do **not** wait
 for responses — exactly the load model under which a failover shows up
 as a latency spike plus a queue that the recovered shard must drain,
-rather than the clients politely pausing.
+rather than the clients politely pausing.  ``Fleet.serve`` delivers
+the schedule in arrival order and ignores the times; the wall-clock
+benchmark paces real arrivals with them.
 
 Everything is deterministic under the seed: request ids, operations,
 keys, values, and arrival times.  The fleet's exactly-once and
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, List, Sequence
 
 #: Operation mix: weights for (op, needs_value).
 _OPS = (("put", True), ("get", False), ("add", True), ("get", False))
@@ -70,10 +72,6 @@ def generate(spec: TrafficSpec) -> List[Request]:
             arrival_ms=now,
         ))
     return requests
-
-
-def iter_requests(spec: TrafficSpec) -> Iterator[Request]:
-    return iter(generate(spec))
 
 
 def reference_responses(requests: Sequence[Request]) -> Dict[str, str]:

@@ -21,6 +21,7 @@ merge into one interval record.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.env.environment import Environment
@@ -51,10 +52,8 @@ def buffering_sweep(workload: Workload, profile: str,
             "messages": metrics.messages_sent,
             "records": metrics.records_sent,
             "bytes": metrics.bytes_sent,
-            "communication_cost": (
-                metrics.messages_sent * model.msg_fixed
-                + metrics.bytes_sent * model.per_byte
-            ),
+            "communication_cost": model.primary_breakdown(
+                metrics, "lock_sync")["communication"],
         }
     return results
 
@@ -65,25 +64,11 @@ def tracking_sweep(metrics, base_time: float,
     """Normalized thread-sched overhead under different per-bytecode
     tracking charges (0.0 models a deterministic-yield-point design
     where only branch counts are maintained)."""
-    results: Dict[float, float] = {}
-    for charge in charges:
-        misc = (
-            metrics.instructions * charge
-            + metrics.cf_changes * model.per_cf_tracking
-            + metrics.natives_intercepted * model.native_check
-            + metrics.native_result_records * model.result_record
-            + metrics.se_records * model.se_record
-        )
-        communication = (
-            metrics.messages_sent * model.msg_fixed
-            + metrics.bytes_sent * model.per_byte
-        )
-        rescheduling = metrics.schedule_records * model.sched_record
-        pessimistic = metrics.ack_waits * model.ack_rtt
-        total = (model.base_time(metrics) + misc + communication
-                 + rescheduling + pessimistic)
-        results[charge] = total / base_time
-    return results
+    return {
+        charge: replace(model, per_instr_tracking=charge).primary_time(
+            metrics, "thread_sched") / base_time
+        for charge in charges
+    }
 
 
 def coalesce_lock_records(raw_log: List[bytes]) -> Tuple[int, int]:

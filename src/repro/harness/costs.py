@@ -1,4 +1,10 @@
-"""Simulated-time cost model.
+"""Simulated-time cost model for the paper's experiment.
+
+This model has one job: regenerating the paper's Table 2 and Figures
+2-4 (and the ablations over them) from the counters of the six
+workloads.  Anything about *this* implementation's speed — serving
+latency, recovery time, what an execution engine saves — is measured
+on the wall clock by ``benchmarks/wallclock/``, never priced here.
 
 The paper measures wall-clock seconds on two Sun E5000s over 100 Mbps
 Ethernet; we measure *event counts* on a simulated substrate and
@@ -39,27 +45,11 @@ class CostModel:
     instr_unit: float = 1.0
     heavy_extra: float = 1.8        # extra cost of an array/float bytecode
     native_call: float = 12.0       # JNI-style transition per native
-    #: Host-dispatch surcharge per bytecode by execution engine:
-    #: ``step`` re-enters the engine (fetch, handler lookup, full
-    #: checks) for every bytecode, ``slice`` amortizes dispatch over a
-    #: batch between safe-point events, and ``block`` executes whole
-    #: hot straight-line runs as one compiled superinstruction.  Fleet
-    #: serving prices request service with :meth:`dispatch_rate`, so
-    #: the engine tier shows up in the latency distribution.
-    dispatch_step: float = 0.50
-    dispatch_slice: float = 0.10
-    dispatch_block: float = 0.02
 
     # --- communication ---------------------------------------------------
     msg_fixed: float = 2500.0       # per message put on the wire
     per_byte: float = 11.0          # per payload byte
     ack_rtt: float = 30000.0        # output-commit stall (LAN round trip)
-
-    # --- transport faults (all zero-contribution on the default
-    # --- in-memory transport) -------------------------------------------
-    retransmit_msg: float = 2500.0  # a resent message re-pays the wire cost
-    rtt_wait_unit: float = 250.0    # per simulated tick inside an ack wait
-    backpressure_wait: float = 600.0  # per stall on the bounded send buffer
 
     # --- bookkeeping: replicated lock acquisition ------------------------
     lock_record: float = 22.0       # build + buffer one acquisition record
@@ -69,49 +59,11 @@ class CostModel:
     sched_record: float = 150.0     # capture progress point + buffer
     per_instr_tracking: float = 0.40   # pc_off update per bytecode
     per_cf_tracking: float = 0.55      # br_cnt update per control-flow change
-    #: pc_off tracking under the batched ("slice") execution engine:
-    #: progress is only materialized at safe-point events, so the
-    #: per-bytecode charge shrinks to the amortized cost of keeping the
-    #: batch counter (the per-CF charge is unchanged — br_cnt still
-    #: ticks on every control-flow change).
-    per_instr_tracking_fast: float = 0.08
-    #: pc_off tracking under the compiled ("block") engine: a whole
-    #: straight-line run settles its accounting as one add at block
-    #: exit, so the per-bytecode charge amortizes to near zero.
-    per_instr_tracking_block: float = 0.02
-    #: Credit per record serialized by the per-flush batch encoder:
-    #: the hot log call buffers the record object and the constant
-    #: framing (epoch envelope prefix) is built once per flush instead
-    #: of once per record.  Small against msg_fixed by design.
-    batched_encode_discount: float = 6.0
 
     # --- divergence detection --------------------------------------------
     digest_record: float = 180.0    # hash the reachable state at a slice
                                     # boundary (digest bytes additionally
                                     # pay per_byte through bytes_sent)
-
-    # --- checkpoint transfer (replica-group re-integration) --------------
-    checkpoint_chunk: float = 90.0   # serialize + frame one chunk record
-    checkpoint_byte: float = 2.5     # walk/encode one byte of JVM state
-                                     # (wire bytes additionally pay
-                                     # per_byte through bytes_sent)
-    checkpoint_restore: float = 4000.0  # rebuild heap/frames/monitors
-                                        # from an adopted snapshot
-    #: Compose one delta checkpoint onto the retained basis (steady
-    #: state incremental checkpointing; the delta's chunks and bytes
-    #: are priced like full-checkpoint chunks and bytes).
-    delta_compose: float = 800.0
-
-    # --- quorum voting (Byzantine mode) -----------------------------------
-    vote_record: float = 45.0       # build + buffer one ballot record
-                                    # (vote bytes additionally pay
-                                    # per_byte through bytes_sent)
-    cert_check: float = 18.0        # tally lookup + certificate match
-                                    # per quorum decision
-    output_gate: float = 35.0       # hold one output at the commit gate
-                                    # until its certificate lands (the
-                                    # ack stall itself is priced via
-                                    # ack_rtt like every other commit)
 
     # --- native interception ---------------------------------------------
     native_check: float = 8.0       # hash-table lookup per nd/output native
@@ -121,28 +73,7 @@ class CostModel:
     # --- backup replay ----------------------------------------------------
     replay_record: float = 28.0     # match/consume one logged record
 
-    # --- fleet serving (per request, simulated "bytecode equivalents") ---
-    request_route: float = 40.0     # hash the key, pick the shard, enqueue
-    ingest_wakeup: float = 120.0    # unpark the server thread at its
-                                    # Server.recv safe-point event
-    response_commit: float = 60.0   # append the reply to the stable
-                                    # response log (the output commit's
-                                    # ack stall is priced via ack_rtt)
-    #: Flat serving gap charged to the in-flight request when its shard's
-    #: primary dies mid-service: detection timeout + backup promotion +
-    #: log replay + request-port reconciliation, before the first
-    #: post-failover response can commit.  The checkpoint-transfer work
-    #: of re-arming the *next* backup happens off the serving path.
-    failover_gap: float = 1_500_000.0
-
     # ------------------------------------------------------------------
-    def dispatch_rate(self, engine: str) -> float:
-        """Per-bytecode dispatch surcharge of one execution engine
-        (unknown names price like the reference ``step`` loop)."""
-        return {"slice": self.dispatch_slice,
-                "block": self.dispatch_block}.get(engine,
-                                                  self.dispatch_step)
-
     def base_time(self, metrics: ReplicationMetrics) -> float:
         """Execution time of the program itself on this substrate."""
         return (
@@ -154,17 +85,6 @@ class CostModel:
     def primary_breakdown(self, metrics: ReplicationMetrics,
                           strategy: str) -> Dict[str, float]:
         """Overhead components at the primary (Figures 3 and 4)."""
-        communication = max(0.0, (
-            metrics.messages_sent * self.msg_fixed
-            + metrics.bytes_sent * self.per_byte
-            + metrics.retransmits * self.retransmit_msg
-            + metrics.backpressure_stalls * self.backpressure_wait
-            - metrics.records_batch_encoded * self.batched_encode_discount
-        ))
-        pessimistic = (
-            metrics.ack_waits * self.ack_rtt
-            + metrics.ack_wait_time * self.rtt_wait_unit
-        )
         misc = (
             metrics.natives_intercepted * self.native_check
             + metrics.native_result_records * self.result_record
@@ -173,19 +93,12 @@ class CostModel:
         )
         breakdown = {
             "base": self.base_time(metrics),
-            "communication": communication,
-            "pessimistic": pessimistic,
+            "communication": (
+                metrics.messages_sent * self.msg_fixed
+                + metrics.bytes_sent * self.per_byte
+            ),
+            "pessimistic": metrics.ack_waits * self.ack_rtt,
         }
-        # Re-integration work is only present for supervised replica
-        # groups; single-failover runs keep their original components.
-        ckpt = self.checkpoint_component(metrics)
-        if ckpt:
-            breakdown["checkpoint"] = ckpt
-        # Ballot traffic only exists for quorum-voting groups; crash
-        # fault runs keep their original components.
-        voting = self.voting_component(metrics)
-        if voting:
-            breakdown["voting"] = voting
         if strategy == "lock_sync":
             breakdown["lock_acquire"] = (
                 metrics.lock_records * self.lock_record
@@ -196,42 +109,16 @@ class CostModel:
             breakdown["rescheduling"] = (
                 metrics.schedule_records * self.sched_record
             )
-            instr_tracking = {
-                "slice": self.per_instr_tracking_fast,
-                "block": self.per_instr_tracking_block,
-            }.get(metrics.engine, self.per_instr_tracking)
+            # The paper's interpreter pays its tracking charge on every
+            # bytecode; which engine *we* ran the program with is not
+            # part of the experiment being modelled.
             breakdown["misc"] = misc + (
-                metrics.instructions * instr_tracking
+                metrics.instructions * self.per_instr_tracking
                 + metrics.cf_changes * self.per_cf_tracking
             )
         else:
             raise ValueError(f"unknown strategy {strategy!r}")
         return breakdown
-
-    def checkpoint_component(self, metrics: ReplicationMetrics) -> float:
-        """Cost of taking, framing, and shipping checkpoints (zero when
-        the run never checkpointed).  Wire bytes and the commit's ack
-        stall are charged where every other byte and ack is charged —
-        this component covers the state capture itself."""
-        return (
-            metrics.checkpoint_records * self.checkpoint_chunk
-            + metrics.checkpoint_bytes * self.checkpoint_byte
-            + metrics.delta_records * self.checkpoint_chunk
-            + metrics.delta_bytes * self.checkpoint_byte
-            + metrics.deltas_composed * self.delta_compose
-            + metrics.checkpoints_restored * self.checkpoint_restore
-        )
-
-    def voting_component(self, metrics: ReplicationMetrics) -> float:
-        """Cost of casting ballots, tallying certificates, and gating
-        outputs on quorum (zero for any non-voting run).  Vote wire
-        bytes are charged where every other byte is charged — this
-        component covers building the ballots and running the tally."""
-        return (
-            getattr(metrics, "votes_cast", 0) * self.vote_record
-            + getattr(metrics, "quorum_certs", 0) * self.cert_check
-            + getattr(metrics, "outputs_gated", 0) * self.output_gate
-        )
 
     def backup_time(self, metrics: ReplicationMetrics) -> float:
         """Replay time at the backup: re-execution plus record matching
@@ -244,24 +131,6 @@ class CostModel:
     def primary_time(self, metrics: ReplicationMetrics,
                      strategy: str) -> float:
         return sum(self.primary_breakdown(metrics, strategy).values())
-
-    # ------------------------------------------------------------------
-    def request_overhead(self) -> float:
-        """Fixed serving cost of one fleet request, beyond the bytecodes
-        the server program itself executes for it."""
-        return self.request_route + self.ingest_wakeup + self.response_commit
-
-    def fleet_breakdown(self, instructions: int, requests: int,
-                        failovers: int) -> Dict[str, float]:
-        """Serving-time components of one traffic run: program work,
-        per-request fleet plumbing, and failover gaps."""
-        return {
-            "base": instructions * self.instr_unit,
-            "routing": requests * self.request_route,
-            "ingest": requests * self.ingest_wakeup,
-            "response_commit": requests * self.response_commit,
-            "failover": failovers * self.failover_gap,
-        }
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -98,7 +98,6 @@ class LogShipper:
         ``uvarint(KIND_EPOCH) + uvarint(epoch) + uvarint(len(payload))
         + payload`` — whose constant prefix is computed once per batch
         instead of once per record."""
-        self.metrics.records_batch_encoded += len(records)
         if self.epoch is None:
             return [encode(record) for record in records]
         from repro.replication.wire import Writer

@@ -74,9 +74,7 @@ class PrimaryIntervalLockSync(AdmissionController):
         self._open_count = 0
         self._shipper.log(LockIntervalRecord(vid, count))
         self._metrics.lock_records += 1
-        self._metrics.extra["interval_acquisitions"] = (
-            self._metrics.extra.get("interval_acquisitions", 0) + count
-        )
+        self._metrics.interval_acquisitions += count
 
 
 class BackupIntervalLockSync(AdmissionController):

@@ -2,15 +2,26 @@
 overhead components behind Figures 2-4.
 
 Counters are *facts* (how many records, messages, bytes, commits);
-turning them into simulated time is the job of the cost model in
-:mod:`repro.harness.costs`, so the same run can be re-costed without
-re-executing.
+turning the paper workloads' counters into simulated time is the job of
+the cost model in :mod:`repro.harness.costs`, so the same run can be
+re-costed without re-executing.
+
+Counters from several replicas combine through one rule, :func:`fold`:
+a counter sums unless its field is declared a high-water mark, which
+folds by ``max``.  An era into its voting group, a replica into its
+shard and a shard into its fleet all go through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+import operator
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Iterable
+
+
+def _high_water() -> int:
+    """A counter whose fold over replicas is ``max``, not the sum."""
+    return field(default=0, metadata={"fold": max})
 
 
 @dataclass
@@ -32,7 +43,7 @@ class ReplicationMetrics:
     #: distinct objects whose monitor was ever acquired
     objects_locked: int = 0
     locks_acquired: int = 0
-    largest_l_asn: int = 0
+    largest_l_asn: int = _high_water()
     reschedules: int = 0
 
     # --- Wire-level ---------------------------------------------------
@@ -40,9 +51,6 @@ class ReplicationMetrics:
     records_sent: int = 0
     bytes_sent: int = 0
     ack_waits: int = 0
-    #: Records serialized by the per-flush batch encoder (the hot-path
-    #: log call buffers objects; wire work happens once per flush).
-    records_batch_encoded: int = 0
 
     # --- Transport-level (zero on the in-memory transport) ------------
     retransmits: int = 0
@@ -59,9 +67,8 @@ class ReplicationMetrics:
     cf_changes: int = 0              # br_cnt sum over threads
     heavy_ops: int = 0               # array/float bytecodes
     native_calls: int = 0            # all native invocations
-    #: Execution engine the run used ("step", "slice", or "block"); the
-    #: cost model prices per-bytecode progress tracking differently
-    #: when the fast path only updates it at safe-point events.
+    #: Execution engine the run used ("step", "slice", or "block"): a
+    #: label, never a price.
     engine: str = "step"
     #: Superinstruction blocks compiled by the ``block`` engine.
     blocks_compiled: int = 0
@@ -85,7 +92,7 @@ class ReplicationMetrics:
     deltas_composed: int = 0         # deltas composed onto a basis
     #: high-water mark of the retained (delivered + buffered) log —
     #: with checkpointing on, bounded by the emission interval.
-    retained_records_max: int = 0
+    retained_records_max: int = _high_water()
     #: log records in the retained tail at recovery time (backup role):
     #: the replay work a promoted backup actually performed.
     recovery_tail_records: int = 0
@@ -121,7 +128,9 @@ class ReplicationMetrics:
     #: Requests found lost in flight at a failover and requeued.
     requests_requeued: int = 0
 
-    extra: Dict[str, int] = field(default_factory=dict)
+    # --- Interval-coalesced lock replication ----------------------------
+    #: Acquisitions covered by the shipped ``LockIntervalRecord``\ s.
+    interval_acquisitions: int = 0
 
     @property
     def records_logged(self) -> int:
@@ -133,37 +142,27 @@ class ReplicationMetrics:
             + self.output_commits
         )
 
-    def as_dict(self) -> Dict[str, int]:
-        base = {
-            name: getattr(self, name)
-            for name in (
-                "natives_intercepted", "output_commits", "lock_records",
-                "id_maps", "schedule_records", "native_result_records",
-                "se_records", "digest_records", "digest_bytes",
-                "objects_locked", "locks_acquired",
-                "largest_l_asn", "reschedules", "messages_sent",
-                "records_sent", "bytes_sent", "ack_waits",
-                "records_batch_encoded", "retransmits",
-                "messages_dropped", "messages_duplicated",
-                "backpressure_stalls", "instructions",
-                "cf_changes", "records_replayed", "outputs_suppressed",
-                "outputs_tested", "outputs_reexecuted",
-                "checkpoint_records", "checkpoint_bytes",
-                "checkpoints_shipped", "checkpoints_restored",
-                "records_fenced", "records_truncated",
-                "delta_records", "delta_bytes", "deltas_shipped",
-                "deltas_composed", "retained_records_max",
-                "recovery_tail_records",
-                "requests_ingested", "responses_committed",
-                "requests_requeued",
-                "blocks_compiled", "block_cache_hits",
-                "votes_cast", "vote_bytes", "quorum_certs",
-                "outputs_gated", "members_suspected",
-                "suspicions_cleared", "members_quarantined",
-                "members_rearmed", "variant_divergences",
-                "engine_demotions",
-            )
-        }
-        base["engine"] = self.engine
-        base.update(self.extra)
-        return base
+    def absorb(self, other: "ReplicationMetrics") -> None:
+        """Fold another replica's (or era's) counters into this one."""
+        fold(self, other)
+
+    def as_dict(self) -> Dict[str, object]:
+        return asdict(self)
+
+
+#: How each numeric field of :class:`ReplicationMetrics` folds.
+_RULES = {
+    f.name: f.metadata.get("fold", operator.add)
+    for f in fields(ReplicationMetrics)
+    if isinstance(f.default, (int, float))
+}
+
+
+def fold(into, other, names: Iterable[str] = _RULES) -> None:
+    """``into.<name>`` absorbs ``other.<name>`` for each named counter
+    of :class:`ReplicationMetrics` (all of them by default): by ``max``
+    where the field is declared a high-water mark, by sum otherwise.
+    ``into`` and ``other`` are any objects carrying those attributes."""
+    for name in names:
+        setattr(into, name,
+                _RULES[name](getattr(into, name), getattr(other, name)))

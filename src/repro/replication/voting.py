@@ -803,25 +803,14 @@ class VotingGroup(ReplicaSet):
         )
 
     def _aggregate_metrics(self) -> None:
-        """Fold the per-era proposer wire/protocol counters into the
-        group-lifetime metrics, so one object prices the whole run."""
-        int_fields = [
-            name for name, value in vars(ReplicationMetrics()).items()
-            if isinstance(value, int) and not isinstance(value, bool)
-        ]
+        """Fold every era's replica counters into the group-lifetime
+        metrics, beside the quorum counters the group itself owns (no
+        era ever writes those)."""
         for report in self.reports:
             for metrics in (report.primary_metrics,
                             report.recovery_metrics):
-                if metrics is None:
-                    continue
-                for name in int_fields:
-                    if name.startswith(("votes_", "vote_", "quorum_",
-                                        "outputs_gated", "members_",
-                                        "suspicions_", "variant_")):
-                        continue     # group-owned, never per-era
-                    setattr(self.metrics, name,
-                            getattr(self.metrics, name)
-                            + getattr(metrics, name))
+                if metrics is not None:
+                    self.metrics.absorb(metrics)
 
     # ------------------------------------------------------------------
     # Balloting

@@ -4,9 +4,12 @@ The nine pinned-seed sweeps CI runs (five ``repro conform``, four
 ``repro fleet``, all ``--seed 20030622``) hash the wire bytes, every
 replica metric, the environment's session traffic and each recovery's
 verdict into their JSON reports, and those reports are byte-stable run
-to run.  The sha256 digests below were taken at the commit *before* the
-three orchestrators were folded into :mod:`repro.replication.core`, so
-a change that leaves them intact has demonstrably not moved the
+to run.  The five ``conform`` digests were taken at the commit *before*
+the three orchestrators were folded into :mod:`repro.replication.core`;
+the four ``fleet`` digests were re-pinned when the fleet stopped
+pricing latency, each shown equal to its predecessor with only the
+four priced keys removed (the proof is in CHANGES.md, PR 20).  A
+change that leaves them intact has demonstrably not moved the
 protocol's observable behaviour — and one that does move it shows up
 here as a changed report, to be re-pinned deliberately or fixed.
 
@@ -52,26 +55,26 @@ GOLDEN = {
         "9bcda889078dd5cef77a53a6d5a92a67bc2932314cc85b4f739753a98eab8d15",
     ),
     "fleet": (
-        ["fleet", "--shards", "3", "--qps", "300", "--requests", "150",
+        ["fleet", "--shards", "3", "--requests", "150",
          "--crash-shard", "1", "--crash-at", "40"],
-        "0d88618215635bbdce075805c471b2fead5226df588e2244110f69982182d5d1",
+        "816d1859ba028f30366947aa1b963f9680b56653d06655642e456640d67c14af",
     ),
     "chaos-liar": (
         ["fleet", "--voting", "--shards", "3", "--requests", "60",
          "--lie-shard", "1", "--lie-spec", "output:5"],
-        "39268bf64dad624e909de5ed0bde0a3fa97b5ec765fe974688326ff74215a321",
+        "817570083b7c7416bef195d5f9bf49c5dc3351f38b38a8fb8a11b8df5a68ed85",
     ),
     "chaos-partition": (
         ["fleet", "--voting", "--shards", "3", "--requests", "80",
          "--chaos-shard", "0", "--outage", "200:600:rev",
          "--member-partition", "1:30:120"],
-        "d7b89546d128093976fdb05f23edf2b7a2bf2c9beac30c072c0f1acfe9ef1da6",
+        "9bd5a4b64528052905a071050ad5d045ea1bee9b2f01f7db429706199c0be519",
     ),
     "chaos-demotion": (
         ["fleet", "--voting", "--shards", "3", "--requests", "60",
          "--variants", "--lie-shard", "0", "--lie-spec", "output:5",
          "--lie-member", "1"],
-        "71ae8fe6f123ad5c9b0bdb4255178b4d6eded1fcd64d870ee93ea936f1b5b561",
+        "5f45a55de75306750ed97b951bb2265eee925a2917796459e2877a65a75fe1df",
     ),
 }
 

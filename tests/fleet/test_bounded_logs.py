@@ -28,7 +28,7 @@ def test_long_run_retained_log_is_flat_in_traffic_volume():
     marks, sent = [], []
     for n_requests in (100, 300):
         fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4))
-        metrics = fleet.serve_open_loop(
+        metrics = fleet.serve(
             TrafficSpec(n_requests=n_requests, seed=11))
         assert metrics.exactly_once
         for group in fleet.groups:
@@ -48,7 +48,7 @@ def test_long_run_snapshot_count_is_bounded():
     """Steady emission re-arms the recovery basis in place: hundreds of
     checkpoints adopted, but one retained snapshot at any time."""
     fleet = Fleet(2, config=ReplicationConfig(checkpoint_interval=4))
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=200, seed=3))
+    metrics = fleet.serve(TrafficSpec(n_requests=200, seed=3))
     assert metrics.exactly_once
     for group in fleet.groups:
         assert group.reports[-1].steady_checkpoints > 20
@@ -56,7 +56,7 @@ def test_long_run_snapshot_count_is_bounded():
 
 def test_no_interval_means_no_steady_emission():
     fleet = Fleet(2, config=ReplicationConfig())
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=100, seed=11))
+    metrics = fleet.serve(TrafficSpec(n_requests=100, seed=11))
     assert metrics.exactly_once
     for group in fleet.groups:
         assert group.reports[-1].steady_checkpoints == 0
@@ -74,7 +74,7 @@ def test_mid_load_failover_replays_only_the_tail():
                   crash_schedule_for=(
                       lambda s: {0: 60} if s == crash_shard else None
                   ))
-    metrics = fleet.serve_open_loop(
+    metrics = fleet.serve(
         TrafficSpec(qps=400.0, n_requests=400, n_clients=8))
 
     assert metrics.requests_offered == 400
@@ -111,7 +111,7 @@ def test_chained_mid_load_failovers_stay_bounded():
                   crash_schedule_for=(
                       lambda s: {0: 40, 1: 40} if s == crash_shard else None
                   ))
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=250, seed=21))
+    metrics = fleet.serve(TrafficSpec(n_requests=250, seed=21))
     assert metrics.exactly_once
     assert metrics.failovers_absorbed == 2
     hit = fleet.groups[crash_shard]

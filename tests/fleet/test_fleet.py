@@ -1,11 +1,13 @@
 """The sharded fleet: routing, traffic determinism, crash-under-load.
 
 The headline property (the paper's availability claim, scaled out): a
-fleet of shard groups serving sustained open-loop traffic keeps
-serving while one shard's primary fail-stops — the failover costs tail
-latency on that shard only, and every request still gets exactly one
-response whose text matches the serial reference model.
+fleet of shard groups serving sustained traffic keeps serving while
+one shard's primary fail-stops — the failover touches that shard only,
+and every request still gets exactly one response whose text matches
+the serial reference model.
 """
+
+import json
 
 import pytest
 
@@ -86,7 +88,7 @@ def test_fleet_rejects_empty_fleet():
 # ======================================================================
 def test_single_shard_fleet_serves_exactly_once():
     fleet = Fleet(1)
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=60))
+    metrics = fleet.serve(TrafficSpec(n_requests=60))
     assert metrics.exactly_once
     assert metrics.responses_committed == 60
     assert metrics.per_shard[0].requests_routed == 60
@@ -94,13 +96,11 @@ def test_single_shard_fleet_serves_exactly_once():
 
 def test_fleet_spreads_traffic_across_shards():
     fleet = Fleet(3)
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=120))
+    metrics = fleet.serve(TrafficSpec(n_requests=120))
     assert metrics.exactly_once
     routed = [s.requests_routed for s in metrics.per_shard]
     assert sum(routed) == 120
     assert all(n > 0 for n in routed)
-    assert metrics.p99_latency_ms >= metrics.p50_latency_ms > 0
-    assert metrics.throughput_rps > 0
 
 
 def test_fleet_crash_under_load_is_exactly_once():
@@ -112,7 +112,7 @@ def test_fleet_crash_under_load_is_exactly_once():
         lambda s: {0: 40} if s == crash_shard else None
     ))
     spec = TrafficSpec(qps=400.0, n_requests=500, n_clients=8)
-    metrics = fleet.serve_open_loop(spec)
+    metrics = fleet.serve(spec)
 
     assert metrics.requests_offered == 500
     assert metrics.responses_committed == 500
@@ -122,18 +122,14 @@ def test_fleet_crash_under_load_is_exactly_once():
     hit = metrics.per_shard[crash_shard]
     assert hit.failovers_absorbed == 1
     assert hit.generations == 2        # crashed gen + completing gen
-    # The other shards never noticed: single generation, no requeues.
+    assert hit.requests_requeued == metrics.requests_requeued == 1
+    # The other shards never noticed: single generation, no failover,
+    # no requeues.
     for shard, sm in enumerate(metrics.per_shard):
         if shard != crash_shard:
             assert sm.generations == 1
+            assert sm.failovers_absorbed == 0
             assert sm.requests_requeued == 0
-    # The failover is visible as tail latency on the hit shard only.
-    others_p99 = max(
-        sm.as_dict()["p99_latency_ms"]
-        for shard, sm in enumerate(metrics.per_shard)
-        if shard != crash_shard
-    )
-    assert hit.as_dict()["p99_latency_ms"] > 10 * others_p99
 
 
 def test_fleet_responses_match_serial_reference():
@@ -145,7 +141,7 @@ def test_fleet_responses_match_serial_reference():
     fleet = Fleet(3, crash_schedule_for=(
         lambda s: {0: 30} if s == 0 else None
     ))
-    metrics = fleet.serve_open_loop(requests)
+    metrics = fleet.serve(requests)
     assert metrics.exactly_once
     for shard, group in enumerate(fleet.groups):
         for req in requests:
@@ -157,16 +153,46 @@ def test_fleet_absorbs_crashes_on_multiple_shards():
     fleet = Fleet(3, crash_schedule_for=(
         lambda s: {0: 25} if s in (0, 2) else None
     ))
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=300, seed=5))
+    metrics = fleet.serve(TrafficSpec(n_requests=300, seed=5))
     assert metrics.exactly_once
     assert metrics.failovers_absorbed == 2
 
 
+def test_block_engine_fleet_serves_the_same_and_rolls_its_counters_up():
+    """Every replica on the compiled engine: identical verdict, and the
+    replicas' block counters fold replica -> shard -> fleet."""
+    from repro.replication.config import ReplicationConfig
+    from repro.runtime.jvm import JVMConfig
+
+    fleet = Fleet(2, config=ReplicationConfig(
+        jvm_config=JVMConfig(engine="block")))
+    metrics = fleet.serve(TrafficSpec(n_requests=120))
+    assert metrics.exactly_once
+    assert metrics.responses_committed == 120
+    assert metrics.blocks_compiled > 0
+    assert metrics.block_cache_hits > metrics.blocks_compiled
+    for name in ("blocks_compiled", "block_cache_hits"):
+        assert getattr(metrics, name) == sum(
+            getattr(sm, name) for sm in metrics.per_shard)
+        for sm, group in zip(metrics.per_shard, fleet.groups):
+            assert getattr(sm, name) == sum(
+                getattr(r.primary_metrics, name) for r in group.reports)
+
+
 def test_fleet_metrics_report_is_json_shaped():
     fleet = Fleet(2)
-    metrics = fleet.serve_open_loop(TrafficSpec(n_requests=40))
+    metrics = fleet.serve(TrafficSpec(n_requests=40))
     report = metrics.as_dict()
     assert report["exactly_once"] is True
     assert report["n_shards"] == 2
     assert len(report["per_shard"]) == 2
-    assert report["throughput_rps"] > 0
+    assert report["per_shard"][1]["shard"] == 1
+    assert sum(s["requests_routed"] for s in report["per_shard"]) == 40
+    json.dumps(report)
+
+
+def test_fleet_keeps_no_clock():
+    """Serving speed is measured by benchmarks/wallclock, not priced
+    here: the cost-model hook is gone, not ignored."""
+    with pytest.raises(TypeError):
+        Fleet(1, cost_model=None)

@@ -57,7 +57,7 @@ def test_lie_shard_must_be_in_range():
 # ======================================================================
 def test_steady_voting_fleet_serves_exactly_once():
     fleet = Fleet(2, config=_config())
-    metrics = fleet.serve_open_loop(_traffic(40))
+    metrics = fleet.serve(_traffic(40))
     assert metrics.exactly_once
     assert metrics.responses_committed == 40
     # Every committed response was gated on a quorum certificate.
@@ -70,6 +70,22 @@ def test_steady_voting_fleet_serves_exactly_once():
         assert sm.engine == "slice"      # nobody demoted anything
 
 
+def test_voting_shard_counts_each_era_once():
+    """A voting group folds its eras into ``group.metrics`` itself; the
+    shard takes that fold and nothing else (it used to add the eras a
+    second time, doubling the block-compiler counters)."""
+    from repro.runtime.jvm import JVMConfig
+
+    fleet = Fleet(1, config=_config(jvm_config=JVMConfig(engine="block")))
+    metrics = fleet.serve(_traffic(60))
+    assert metrics.exactly_once
+    eras = [m for report in fleet.groups[0].reports
+            for m in (report.primary_metrics, report.recovery_metrics)
+            if m is not None]
+    assert metrics.blocks_compiled == sum(m.blocks_compiled for m in eras) > 0
+    assert metrics.block_cache_hits == sum(m.block_cache_hits for m in eras)
+
+
 # ======================================================================
 # A proposer liar on one shard mid-load
 # ======================================================================
@@ -77,7 +93,7 @@ def test_proposer_liar_is_convicted_on_its_shard_only():
     lie_shard = 1
     fleet = Fleet(3, config=_config(lie_at=("output", 5)),
                   lie_shard=lie_shard)
-    metrics = fleet.serve_open_loop(_traffic(60))
+    metrics = fleet.serve(_traffic(60))
     assert metrics.exactly_once
     assert metrics.responses_committed == 60
     liar = metrics.per_shard[lie_shard]
@@ -96,7 +112,7 @@ def test_proposer_liar_is_convicted_on_its_shard_only():
 def test_lying_follower_quarantined_without_deposition():
     fleet = Fleet(2, config=_config(lie_at=("output", 5), lie_member=2),
                   lie_shard=0)
-    metrics = fleet.serve_open_loop(_traffic(40))
+    metrics = fleet.serve(_traffic(40))
     assert metrics.exactly_once
     sm = metrics.per_shard[0]
     assert sm.members_quarantined == 1
@@ -116,7 +132,7 @@ def test_partitioned_member_is_suspected_then_absolved_on_heal():
         member_partitions=(MemberPartition(1, 30.0, 120.0, "records"),))
     fleet = Fleet(3, config=_config(),
                   transport_for=lambda s: chaos if s == 0 else None)
-    metrics = fleet.serve_open_loop(_traffic(80))
+    metrics = fleet.serve(_traffic(80))
     assert metrics.exactly_once
     assert metrics.responses_committed == 80
     sm = metrics.per_shard[0]
@@ -136,7 +152,7 @@ def test_asymmetric_outage_and_partition_heal_cleanly():
         member_partitions=(MemberPartition(1, 30.0, 120.0, "records"),))
     fleet = Fleet(3, config=_config(),
                   transport_for=lambda s: chaos if s == 0 else None)
-    metrics = fleet.serve_open_loop(_traffic(80))
+    metrics = fleet.serve(_traffic(80))
     assert metrics.exactly_once
     sm = metrics.per_shard[0]
     assert sm.members_suspected >= 1 and sm.suspicions_cleared >= 1
@@ -156,7 +172,7 @@ def test_engine_divergence_demotes_the_whole_fleet():
     fleet = Fleet(2, config=_config(variants="step+slice",
                                     lie_at=("output", 5), lie_member=1),
                   lie_shard=0)
-    metrics = fleet.serve_open_loop(_traffic(60))
+    metrics = fleet.serve(_traffic(60))
     assert metrics.exactly_once
     assert metrics.responses_committed == 60
     assert metrics.variant_divergences >= 1
@@ -200,7 +216,7 @@ def test_voting_fleet_acceptance_under_chaos():
     fleet.groups[2].injector = CorruptionInjector(
         [LieSpec("output", 8, -1, 1)])
 
-    metrics = fleet.serve_open_loop(_traffic(90))
+    metrics = fleet.serve(_traffic(90))
 
     # Exactly-once survived all three fault domains at once.
     assert metrics.exactly_once

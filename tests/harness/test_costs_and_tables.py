@@ -51,6 +51,42 @@ def test_thread_sched_breakdown_has_tracking_cost():
     assert "lock_acquire" not in b
 
 
+def test_breakdown_does_not_depend_on_the_engine_that_ran_it():
+    """The model prices the paper's interpreter; ``metrics.engine`` is
+    a label of ours and selects nothing (it once shrank the tracking
+    charge 5x under ``slice`` and turned Figure 4 upside down)."""
+    model = CostModel()
+    breakdowns = [
+        model.primary_breakdown(
+            _metrics(instructions=1000, cf_changes=200, schedule_records=5,
+                     messages_sent=3, bytes_sent=100, records_sent=40,
+                     engine=engine),
+            "thread_sched")
+        for engine in ("step", "slice", "block")
+    ]
+    assert breakdowns[0] == breakdowns[1] == breakdowns[2]
+
+
+def test_thread_sched_overhead_is_dominated_by_bookkeeping():
+    """Figure 4's shape claim on a real run of the default engine:
+    misc (per-bytecode tracking) outweighs communication."""
+    from repro.env.environment import Environment
+    from repro.replication.config import ReplicationConfig
+    from repro.replication.machine import ReplicatedJVM
+    from repro.workloads import BY_NAME
+
+    workload = BY_NAME["mtrt"]
+    env = Environment()
+    workload.prepare_env(env, "test")
+    machine = ReplicatedJVM(workload.compile("test"), env=env,
+                            config=ReplicationConfig(strategy="thread_sched"))
+    assert machine.run(workload.main_class).final_result.ok
+    metrics = machine.primary_metrics
+    assert metrics.engine == "slice"
+    b = CostModel().primary_breakdown(metrics, "thread_sched")
+    assert b["misc"] > b["communication"]
+
+
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
         CostModel().primary_breakdown(_metrics(), "quantum")

@@ -128,10 +128,8 @@ def test_log_buffers_objects_and_encodes_at_flush():
     channel, metrics, shipper = _shipper(batch=100)
     shipper.log(IdMap(1, (0,), 1))
     shipper.log(IdMap(2, (0,), 2))
-    assert metrics.records_batch_encoded == 0
     assert all(not isinstance(r, bytes) for r in channel._buffer)
     channel.flush()
-    assert metrics.records_batch_encoded == 2
     assert [decode_record(p) for p in channel.delivered] == \
         [IdMap(1, (0,), 1), IdMap(2, (0,), 2)]
 

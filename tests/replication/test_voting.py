@@ -161,6 +161,33 @@ def test_lying_primary_digest_is_deposed_and_rearmed(multi_registry,
         assert result.members[0].rearms == 1
 
 
+def test_group_metrics_fold_eras_by_sum_and_high_water_by_max(
+        multi_registry):
+    """Two eras (a deposed proposer): the group's lifetime metrics sum
+    each era's counters, but a high-water mark is the highest any era
+    reached — the summed ``largest_l_asn`` was a lock sequence number
+    nobody ever held.  (The other mark, ``retained_records_max``, stays
+    0 under voting; tests/replication/test_metrics.py folds it.)"""
+    group = VotingGroup(multi_registry, env=Environment(), config=_config(
+        lie_at=("digest", 2), lie_member=0,
+    ))
+    result = group.run("Main")
+    eras = [m for report in result.reports
+            for m in (report.primary_metrics, report.recovery_metrics)
+            if m is not None]
+    assert result.final_era >= 1
+    marks = [m.largest_l_asn for m in eras]
+    assert sum(marks) > max(marks) > 0
+    assert result.metrics.largest_l_asn == max(marks)
+    for counter in ("bytes_sent", "records_sent", "instructions",
+                    "locks_acquired"):
+        assert getattr(result.metrics, counter) \
+            == sum(getattr(m, counter) for m in eras) > 0
+    # Group-owned counters are untouched by the fold.
+    assert result.metrics.members_quarantined == 1
+    assert all(m.votes_cast == m.members_quarantined == 0 for m in eras)
+
+
 def test_lying_primary_output_is_outvoted_before_release(output_registry,
                                                          output_reference):
     env = Environment()

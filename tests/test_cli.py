@@ -111,3 +111,15 @@ def test_bench_single_experiment(capsys):
                  "--experiment", "table2"]) == 0
     out = capsys.readouterr().out
     assert "Locks Acquired" in out
+
+
+def test_fleet_reports_counts_and_takes_no_arrival_rate(capsys):
+    assert main(["fleet", "--shards", "2", "--requests", "30"]) == 0
+    err = capsys.readouterr().err
+    assert "committed=30" in err and "exactly_once=True" in err
+    assert "latency" not in err
+    # The fleet keeps no clock, so an arrival rate would change nothing:
+    # the flag is rejected, not ignored.
+    with pytest.raises(SystemExit):
+        main(["fleet", "--qps", "300", "--requests", "30"])
+    assert "unrecognized arguments: --qps" in capsys.readouterr().err
