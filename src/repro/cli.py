@@ -15,10 +15,11 @@ Commands:
   conformance sweep: every crash event index × strategy × transport,
   checking digest equality, the log prefix property, and exactly-once
   outputs; optionally writes a JSON report.  With ``--chained`` the
-  sweep runs through the replica-group supervisor instead, crashing
-  every event index of every generation down to ``--depth`` (including
-  mid-checkpoint-transfer) and additionally asserting stale-epoch
-  records are fenced.
+  same harness crashes a replica group at every event index of every
+  generation down to ``--depth`` (including mid-checkpoint-transfer)
+  and additionally asserts stale-epoch records are fenced; with
+  ``--byzantine`` it tells a voting group a lie about every digest and
+  output.  A flag the chosen mode cannot honour is a usage error.
 """
 
 from __future__ import annotations
@@ -160,9 +161,10 @@ def _cmd_replicate(args: argparse.Namespace) -> int:
 
 
 def _cmd_conform(args: argparse.Namespace) -> int:
-    from repro.conform.report import build_report, render_report, write_report
-    from repro.conform.sweep import SweepConfig, run_sweep
-    from repro.conform.workloads import get_workload, workload_names
+    from repro.conform import (
+        Config, build_report, get_workload, headline, render_report,
+        run_sweep, workload_names, write_report,
+    )
 
     if args.list:
         for name in workload_names():
@@ -170,103 +172,40 @@ def _cmd_conform(args: argparse.Namespace) -> int:
             print(f"{name:10s} {workload.description}")
         return 0
 
-    workloads = args.workload or (
-        ["counter"] if args.quick else list(workload_names())
-    )
-    transports = args.transport or (
-        ["memory", "faulty:flaky"] if args.quick
-        else ["memory", "faulty:flaky", "faulty:lossy"]
-    )
-    engines = (["step", "slice", "block"] if args.engine == "both"
-               else [args.engine])
-
-    if args.byzantine:
-        from repro.conform.byzantine import ByzantineConfig, run_byzantine_sweep
-        from repro.conform.report import (
-            build_byzantine_report, render_byzantine_report,
-        )
-
-        byz_config = ByzantineConfig(
-            workloads=workloads,
-            n_members=args.members,
+    mode = ("byzantine" if args.byzantine
+            else "chained" if args.chained else "plain")
+    transports = args.transport
+    if transports is None and not args.quick and mode != "byzantine":
+        transports = ["memory", "faulty:flaky", "faulty:lossy"]
+    try:
+        config = Config(
+            workloads=args.workload or (
+                ["counter"] if args.quick else list(workload_names())),
+            mode=mode,
             seed=args.seed,
-            digest_interval=args.digest_interval or 2,
             stride=args.stride,
-            engine=engines[0],
+            workers=args.workers,
+            shrink=not args.no_shrink,
+            strategies=args.strategy,
+            transports=transports,
+            engines=(["step", "slice", "block"] if args.engine == "both"
+                     else [args.engine]),
+            digest_interval=args.digest_interval or None,
+            depth=args.depth,
+            checkpoint_intervals=args.checkpoint_interval and [
+                n or None for n in args.checkpoint_interval],
+            n_members=args.members,
             variants="step+slice" if args.variants else None,
         )
-
-        def byzantine_progress(cell) -> None:
-            status = "ok" if cell.ok else f"{len(cell.failures)} FAILURES"
-            print(f"[{cell.workload} n={args.members} {cell.engine} "
-                  f"variants={cell.variants or 'off'}: "
-                  f"{cell.cells} seeded lies {status}]",
-                  file=sys.stderr)
-
-        cells = run_byzantine_sweep(byz_config, progress=byzantine_progress)
-        report = build_byzantine_report(byz_config, cells)
-        if args.json:
-            write_report(args.json, report)
-        print(render_byzantine_report(report))
-        return 0 if report["ok"] else 1
-
-    if args.chained:
-        from repro.conform.chained import ChainedConfig, run_chained_sweep
-        from repro.conform.report import (
-            build_chained_report, render_chained_report,
-        )
-
-        intervals = [None if n == 0 else n
-                     for n in (args.checkpoint_interval or [0])]
-        chained_config = ChainedConfig(
-            workloads=workloads,
-            strategies=args.strategy or ["lock_sync", "thread_sched"],
-            transports=transports,
-            depth=args.depth,
-            seed=args.seed,
-            stride=args.stride,
-            engines=engines,
-            checkpoint_intervals=intervals,
-        )
-
-        def chained_progress(cell) -> None:
-            status = ("ok" if cell.ok
-                      else f"{len(cell.failures)} FAILURES")
-            ckpt = ("off" if cell.checkpoint_interval is None
-                    else cell.checkpoint_interval)
-            print(f"[{cell.workload} {cell.strategy} {cell.transport} "
-                  f"{cell.engine} ckpt={ckpt}: "
-                  f"{cell.crash_points} chained crash points {status}]",
-                  file=sys.stderr)
-
-        cells = run_chained_sweep(chained_config, progress=chained_progress)
-        report = build_chained_report(chained_config, cells)
-        if args.json:
-            write_report(args.json, report)
-        print(render_chained_report(report))
-        return 0 if report["ok"] else 1
-
-    config = SweepConfig(
-        workloads=workloads,
-        strategies=args.strategy or ["lock_sync", "thread_sched"],
-        transports=transports,
-        seed=args.seed,
-        digest_interval=args.digest_interval or 2,
-        stride=args.stride,
-        workers=args.workers,
-        shrink=not args.no_shrink,
-        engines=engines,
-    )
+    except ReproError as err:
+        # An option the chosen mode cannot honour is a usage error.
+        args.usage_error(str(err))
 
     def progress(cell) -> None:
-        status = "ok" if cell.ok else f"{len(cell.failures)} FAILURES"
-        print(f"[{cell.workload} {cell.strategy} {cell.transport} "
-              f"{cell.engine}: "
-              f"{cell.crash_points} crash points {status}]",
-              file=sys.stderr)
+        line = " ".join(headline(mode, cell, config.n_members).split())
+        print(f"[{line}]", file=sys.stderr)
 
-    cells = run_sweep(config, progress=progress)
-    report = build_report(config, cells)
+    report = build_report(config, run_sweep(config, progress=progress))
     if args.json:
         write_report(args.json, report)
     print(render_report(report))
@@ -638,15 +577,16 @@ def build_parser() -> argparse.ArgumentParser:
         p_conf, repeatable=True, engines=("step", "slice", "block", "both"),
     )
     p_conf.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="crash points checked in N parallel "
-                             "processes (0 = inline)")
+                        help="faults (crash points, lies) checked in N "
+                             "parallel processes (0 = inline)")
     p_conf.add_argument("--stride", type=int, default=1, metavar="N",
-                        help="check every Nth crash index (failures "
-                             "are shrunk back to the minimal point)")
+                        help="check every Nth crash index or artifact "
+                             "(failures are shrunk back to the minimal "
+                             "point)")
     p_conf.add_argument("--digest-interval", type=int, default=None,
                         metavar="N",
                         help="schedule records per periodic digest "
-                             "(default 2)")
+                             "(default 2; not with --chained)")
     p_conf.add_argument("--no-shrink", action="store_true",
                         help="report the first failing point as-is")
     p_conf.add_argument("--chained", action="store_true",
@@ -656,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(including mid-checkpoint-transfer) and "
                              "assert exactly-once output and digest "
                              "equality against an unreplicated run")
-    p_conf.add_argument("--depth", type=int, default=2, metavar="K",
+    p_conf.add_argument("--depth", type=int, default=None, metavar="K",
                         help="generations to sweep in --chained mode "
                              "(default 2)")
     p_conf.add_argument("--checkpoint-interval", action="append",
@@ -681,14 +621,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "step+slice multi-variant engine guard "
                              "(alarms only on engine-correlated "
                              "divergence)")
-    p_conf.add_argument("--members", type=int, default=3, metavar="N",
+    p_conf.add_argument("--members", type=int, default=None, metavar="N",
                         help="voting group size for --byzantine "
                              "(odd, n = 2f+1; default 3)")
     p_conf.add_argument("--json", default=None, metavar="PATH",
                         help="write the machine-readable report here")
     p_conf.add_argument("--list", action="store_true",
                         help="list conform workloads and exit")
-    p_conf.set_defaults(fn=_cmd_conform)
+    p_conf.set_defaults(fn=_cmd_conform, usage_error=p_conf.error)
 
     p_fleet = sub.add_parser(
         "fleet",

@@ -1,62 +1,52 @@
-"""Exhaustive crash-point conformance harness.
+"""Exhaustive fault-point conformance harness.
 
-``python -m repro conform`` sweeps *every* crash event index for a
-workload × strategy × transport matrix, asserting at each point that
-the failover preserved the paper's guarantees:
+``python -m repro conform`` injects a fault at *every* point one can
+land, for a workload × strategy × transport × engine matrix, asserting
+at each point that the replicas kept the paper's guarantees:
 
-* **digest equality** — the backup's final recomputed state digest
-  matches a failure-free reference run (and every periodic
+* **digest equality** — the finishing machine's recomputed state digest
+  matches a failure-free serial reference run (and every periodic
   :class:`~repro.replication.digest.DigestRecord` verified during
   replay);
-* **log prefix property** — the delivered log at the crash is a
-  contiguous prefix of the reference run's delivered log;
 * **output-commit safety** — console and file outputs are exactly the
-  reference outputs: nothing lost, nothing duplicated.
+  reference outputs: nothing lost, nothing duplicated;
+* the mode's own obligations — the **log prefix property** for a
+  crashed pair, bounded recovery replay for a chain of crashes,
+  conviction of exactly the liars for a voting group.
 
-See :mod:`repro.conform.sweep` for the engine and
-:mod:`repro.conform.report` for the JSON report schema.
+There is one harness.  A cell is (config, fault schedule, reference,
+checks) — :mod:`repro.conform.cell` — and the plain, ``--chained`` and
+``--byzantine`` sweeps are three fault schedules fed to one sweep loop
+over one matrix — :mod:`repro.conform.sweep`.  The JSON report schema
+and the full list of failure kinds are in :mod:`repro.conform.report`.
 """
 
-from repro.conform.byzantine import (
-    ByzantineCellResult,
-    ByzantineConfig,
-    ByzantineReference,
-    byzantine_reference,
-    check_corruption,
-    make_byzantine_spec,
-    run_byzantine_sweep,
-    sweep_byzantine_cell,
-)
-from repro.conform.chained import (
-    ChainCellResult,
-    ChainedConfig,
-    ChainLayer,
-    chained_reference,
-    check_chain,
-    make_chained_spec,
-    run_chained_sweep,
-    sweep_chained_cell,
+from repro.conform.cell import (
+    REPLAY_SLACK,
+    CellSpec,
+    Crash,
+    CrashChain,
+    Lie,
+    Reference,
+    check,
+    execute,
+    failure,
+    judge,
+    reference_run,
 )
 from repro.conform.report import (
-    REPORT_VERSION,
-    build_byzantine_report,
-    build_chained_report,
     build_report,
-    render_byzantine_report,
-    render_chained_report,
+    headline,
     render_report,
     write_report,
 )
 from repro.conform.sweep import (
-    CellResult,
-    Reference,
-    SweepConfig,
-    check_crash_point,
-    make_cell_spec,
-    reference_run,
+    Config,
     run_sweep,
     shrink_failure,
-    sweep_cell,
+    sweep_byzantine,
+    sweep_chained,
+    sweep_plain,
 )
 from repro.conform.workloads import (
     ConformWorkload,
@@ -66,16 +56,9 @@ from repro.conform.workloads import (
 
 __all__ = [
     "ConformWorkload", "get_workload", "workload_names",
-    "SweepConfig", "Reference", "CellResult", "make_cell_spec",
-    "reference_run", "check_crash_point", "shrink_failure",
-    "sweep_cell", "run_sweep",
-    "REPORT_VERSION", "build_report", "render_report", "write_report",
-    "ChainedConfig", "ChainCellResult", "ChainLayer",
-    "make_chained_spec", "chained_reference", "check_chain",
-    "sweep_chained_cell", "run_chained_sweep",
-    "build_chained_report", "render_chained_report",
-    "ByzantineConfig", "ByzantineCellResult", "ByzantineReference",
-    "make_byzantine_spec", "byzantine_reference", "check_corruption",
-    "sweep_byzantine_cell", "run_byzantine_sweep",
-    "build_byzantine_report", "render_byzantine_report",
+    "CellSpec", "Crash", "CrashChain", "Lie", "Reference", "reference_run",
+    "REPLAY_SLACK", "failure", "execute", "judge", "check",
+    "Config", "shrink_failure",
+    "sweep_plain", "sweep_chained", "sweep_byzantine", "run_sweep",
+    "build_report", "headline", "render_report", "write_report",
 ]

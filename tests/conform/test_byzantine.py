@@ -1,9 +1,8 @@
 """Tier-2 wrapper around the Byzantine corruption sweep.
 
 Same split as :mod:`tests.conform.test_conform_harness`: cheap
-mechanics tests (report schema, reference probe, single cells) run in
-tier-1; the heavier full-matrix and CLI sweeps carry ``conform`` +
-``slow`` marks.  The byzantine sweep is fast — every workload is tiny —
+mechanics tests (reference probe, single cells) run in tier-1; the
+heavier full-matrix and CLI sweeps carry ``conform`` + ``slow`` marks.  The byzantine sweep is fast — every workload is tiny —
 so even the 'slow' cells finish in seconds.
 """
 
@@ -13,50 +12,27 @@ import sys
 
 import pytest
 
-from repro.conform import (
-    ByzantineConfig,
-    build_byzantine_report,
-    byzantine_reference,
-    check_corruption,
-    make_byzantine_spec,
-    render_byzantine_report,
-    run_byzantine_sweep,
-    sweep_byzantine_cell,
-)
+from repro.conform import Config, Lie, check, reference_run, sweep_byzantine
 
-REPORT_KEYS = {"version", "tool", "config", "cells", "totals", "ok"}
-CELL_KEYS = {"workload", "engine", "variants", "digest_epochs",
-             "output_ordinals", "cells", "failures", "ok"}
+
+def _spec(workload, **options):
+    spec, = Config([workload], mode="byzantine", **options).matrix()
+    return spec
 
 
 # ======================================================================
-# Harness mechanics (cheap — runs in tier-1)
+# Harness mechanics (cheap — runs in tier-1; the report schema is
+# checked with the other modes' in test_conform_harness.py)
 # ======================================================================
-def test_byzantine_report_schema_keys():
-    config = ByzantineConfig(workloads=["hello"])
-    cells = run_byzantine_sweep(config)
-    report = build_byzantine_report(config, cells)
-    assert set(report) == REPORT_KEYS
-    assert report["version"] == 1
-    assert report["tool"] == "repro conform --byzantine"
-    for cell in report["cells"]:
-        assert set(cell) == CELL_KEYS
-    assert report["totals"]["cells"] == len(cells) == 1
-    assert report["totals"]["failures"] == 0
-    assert report["ok"] is True
-    assert "PASS" in render_byzantine_report(report)
-    assert json.loads(json.dumps(report)) == report   # JSON-serialisable
-
-
 def test_reference_probe_enumerates_artifacts():
     """The honest probe discovers the lie targets: every output the
     group gated, and the final digest epoch (0 for a single-threaded
     workload, where no schedule records are logged)."""
-    reference = byzantine_reference(make_byzantine_spec("hello"))
+    reference = reference_run(_spec("hello"), Lie)
     assert reference.final_epoch == 0
     assert len(reference.output_ordinals) >= 1
     assert reference.stable    # console output captured
-    multi = byzantine_reference(make_byzantine_spec("counter"))
+    multi = reference_run(_spec("counter"), Lie)
     assert multi.final_epoch > 0
     assert multi.digest_epochs  # periodic digests were certified
 
@@ -64,13 +40,13 @@ def test_reference_probe_enumerates_artifacts():
 def test_single_corruption_cell_passes():
     """One seeded lying-proposer cell end to end: the corrupted output
     is outvoted before release and the run stays byte-identical."""
-    spec = make_byzantine_spec("hello")
-    reference = byzantine_reference(spec)
-    entry = check_corruption(spec, reference,
-                             ("output", reference.output_ordinals[0]), 0)
+    spec = _spec("hello")
+    reference = reference_run(spec, Lie)
+    entry = check(spec, Lie(("output", reference.output_ordinals[0]), 0),
+                  reference)
     assert entry is None
-    entry = check_corruption(spec, reference,
-                             ("digest", reference.final_epoch), 1)
+    entry = check(spec, Lie(("digest", reference.final_epoch), 1),
+                  reference)
     assert entry is None
 
 
@@ -81,21 +57,21 @@ def test_single_corruption_cell_passes():
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["hello", "counter", "fileio"])
 def test_byzantine_sweep_has_zero_failures(workload):
-    cell = sweep_byzantine_cell(make_byzantine_spec(workload))
-    assert cell.ok, cell.as_dict()
-    assert cell.cells > 0
+    cell = sweep_byzantine(_spec(workload))
+    assert cell["ok"], cell
+    assert cell["cells"] > 0
     # Every artifact was lied about twice: once by the proposer, once
     # by a follower.
-    assert cell.cells == 2 * (cell.digest_epochs + cell.output_ordinals)
+    assert cell["cells"] == 2 * (cell["digest_epochs"]
+                                 + cell["output_ordinals"])
 
 
 @pytest.mark.conform
 @pytest.mark.slow
 @pytest.mark.parametrize("workload", ["hello", "counter"])
 def test_byzantine_variants_sweep_passes(workload):
-    spec = make_byzantine_spec(workload, variants="step+slice")
-    cell = sweep_byzantine_cell(spec)
-    assert cell.ok, cell.as_dict()
+    cell = sweep_byzantine(_spec(workload, variants="step+slice"))
+    assert cell["ok"], cell
 
 
 @pytest.mark.conform

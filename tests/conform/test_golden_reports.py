@@ -14,7 +14,9 @@ protocol's observable behaviour — and one that does move it shows up
 here as a changed report, to be re-pinned deliberately or fixed.
 
 Run with ``pytest -m conform tests/conform/test_golden_reports.py``
-(about eight seconds for all nine).
+(about eight seconds for all nine).  CI's ``golden-reports`` job is the
+one place the five ``conform`` argvs run; it adds
+``--basetemp=golden-reports`` and uploads the reports from there.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ pytestmark = pytest.mark.conform
 
 SEED = ["--seed", "20030622"]
 
-#: report name -> (``repro`` argv as CI spells it, sha256 of the JSON).
+#: report name -> (``repro`` argv, sha256 of the JSON).
 GOLDEN = {
     "conform": (
         ["conform", "--workload", "counter", "--quick", "--engine", "both",

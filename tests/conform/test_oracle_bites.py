@@ -7,7 +7,8 @@ refactor that quietly stops comparing something turns one of these red.
 Each test asserts the entry's ``kind`` *and* its fault coordinates.
 
 Tier-1 (unmarked): ``hello`` / ``counter``, inline, a few milliseconds
-each.
+each.  Specs come from :meth:`Config.matrix`, so every test judges
+exactly the cell its sweep would.
 """
 
 from dataclasses import replace
@@ -15,19 +16,16 @@ from dataclasses import replace
 import pytest
 
 from repro.conform import (
-    byzantine_reference,
-    chained_reference,
-    check_chain,
-    check_corruption,
-    check_crash_point,
-    get_workload,
-    make_byzantine_spec,
-    make_cell_spec,
-    make_chained_spec,
+    Config,
+    Crash,
+    CrashChain,
+    Lie,
+    cell,
+    check,
+    execute,
+    judge,
     reference_run,
 )
-from repro.conform import byzantine, chained
-from repro.env.environment import Environment
 
 
 # ======================================================================
@@ -35,14 +33,15 @@ from repro.env.environment import Environment
 # ======================================================================
 @pytest.fixture(scope="module")
 def pair():
-    spec = make_cell_spec("counter", "lock_sync", "memory")
-    return spec, reference_run(spec)
+    spec, = Config(["counter"], strategies=["lock_sync"],
+                   transports=["memory"]).matrix()
+    return spec, reference_run(spec, Crash)
 
 
 def test_honest_cell_is_green(pair):
     spec, reference = pair
-    assert check_crash_point(spec, reference.total_events // 2,
-                             reference) is None
+    assert check(spec, Crash(reference.total_events // 2),
+                 reference) is None
 
 
 def test_output_mismatch_fires_on_a_doctored_stable_env(pair):
@@ -50,7 +49,7 @@ def test_output_mismatch_fires_on_a_doctored_stable_env(pair):
     doctored = replace(reference, stable={
         **reference.stable, "console": reference.stable["console"] + "x",
     })
-    entry = check_crash_point(spec, 3, doctored)
+    entry = check(spec, Crash(3), doctored)
     assert entry["kind"] == "output_mismatch"
     assert entry["crash_at"] == 3
     assert "console" in entry["detail"]
@@ -60,7 +59,7 @@ def test_divergence_fires_on_a_flipped_digest_component(pair):
     spec, reference = pair
     (name, value), rest = reference.final_digest[0], reference.final_digest[1:]
     doctored = replace(reference, final_digest=((name, value ^ 1),) + rest)
-    entry = check_crash_point(spec, 3, doctored)
+    entry = check(spec, Crash(3), doctored)
     assert entry["kind"] == "divergence"
     assert entry["crash_at"] == 3
     assert entry["components"] == [name]
@@ -73,7 +72,7 @@ def test_log_prefix_fires_on_a_corrupted_reference_log(pair):
     ])
     # Crash at the last event, so the delivered log is certainly
     # non-empty and its first record is compared.
-    entry = check_crash_point(spec, reference.total_events, doctored)
+    entry = check(spec, Crash(reference.total_events), doctored)
     assert entry["kind"] == "log_prefix"
     assert entry["crash_at"] == reference.total_events
 
@@ -81,7 +80,7 @@ def test_log_prefix_fires_on_a_corrupted_reference_log(pair):
 def test_no_failover_fires_when_the_pair_never_crashes(pair):
     spec, reference = pair
     beyond = reference.total_events + 1
-    entry = check_crash_point(spec, beyond, reference)
+    entry = check(spec, Crash(beyond), reference)
     assert entry["kind"] == "no_failover"
     assert entry["crash_at"] == beyond
 
@@ -89,33 +88,37 @@ def test_no_failover_fires_when_the_pair_never_crashes(pair):
 # ======================================================================
 # The chain: a crash per generation
 # ======================================================================
+def _chained_spec(**options):
+    spec, = Config(["counter"], mode="chained", strategies=["lock_sync"],
+                   transports=["memory"], **options).matrix()
+    return spec
+
+
 def test_no_failover_fires_when_a_generation_outlives_its_schedule():
-    spec = make_chained_spec("counter", "lock_sync", "memory", depth=2)
-    reference = chained_reference(spec)
-    schedule = [5, 9999]          # generation 1 has far fewer events
-    entry = check_chain(spec, schedule, reference)
+    spec = _chained_spec()
+    reference = reference_run(spec, CrashChain)
+    schedule = (5, 9999)          # generation 1 has far fewer events
+    entry = check(spec, CrashChain(schedule), reference)
     assert entry["kind"] == "no_failover"
-    assert entry["crash_schedule"] == schedule
+    assert entry["crash_schedule"] == list(schedule)
     assert entry["crash_at"] == 9999
 
 
 def test_unbounded_replay_fires_when_the_slack_is_forced_negative(
         monkeypatch):
-    spec = make_chained_spec("counter", "lock_sync", "memory", depth=1,
-                             checkpoint_interval=3)
-    reference = chained_reference(spec)
-    group, _ = chained.build_group(spec, [])
-    pilot = group.run(get_workload("counter").main_class)
-    assert pilot.generations[0].steady_checkpoints > 0
-    last = pilot.generations[0].events
+    spec = _chained_spec(checkpoint_intervals=[3])
+    reference = reference_run(spec, CrashChain)
+    pilot = execute(spec, CrashChain())[0].reports[0]
+    assert pilot.steady_checkpoints > 0
+    last = CrashChain((pilot.events,))
     # Honest under the real slack ...
-    assert check_chain(spec, [last], reference) is None
+    assert check(spec, last, reference) is None
     # ... and over budget once no tail at all is tolerated.
-    monkeypatch.setattr(chained, "_REPLAY_SLACK", -10**6)
-    entry = check_chain(spec, [last], reference)
+    monkeypatch.setattr(cell, "REPLAY_SLACK", -10**6)
+    entry = check(spec, last, reference)
     assert entry["kind"] == "unbounded_replay"
-    assert entry["crash_schedule"] == [last]
-    assert entry["crash_at"] == last
+    assert entry["crash_schedule"] == [pilot.events]
+    assert entry["crash_at"] == pilot.events
 
 
 # ======================================================================
@@ -123,21 +126,18 @@ def test_unbounded_replay_fires_when_the_slack_is_forced_negative(
 # ======================================================================
 @pytest.fixture(scope="module")
 def voting():
-    spec = make_byzantine_spec("hello")
-    return spec, byzantine_reference(spec)
+    spec, = Config(["hello"], mode="byzantine").matrix()
+    return spec, reference_run(spec, Lie)
 
 
-def _lying_follower_run(spec, reference):
-    """One run with member 1 lying about the first output."""
-    env = Environment()
-    lie_at = ("output", reference.output_ordinals[0])
-    group = byzantine.build_group(spec, env, lie_at=lie_at, lie_member=1)
-    return group.run(get_workload(spec["workload"]).main_class), env
+def _lying_follower(reference):
+    """Member 1 lies about the first output."""
+    return Lie(("output", reference.output_ordinals[0]), 1)
 
 
 def test_lie_not_injected_fires_on_an_artifact_that_never_occurs(voting):
     spec, reference = voting
-    entry = check_corruption(spec, reference, ("output", 9999), 0)
+    entry = check(spec, Lie(("output", 9999), 0), reference)
     assert entry["kind"] == "lie_not_injected"
     assert entry["lie"] == ["output", 9999]
     assert entry["lie_member"] == 0
@@ -146,21 +146,23 @@ def test_lie_not_injected_fires_on_an_artifact_that_never_occurs(voting):
 
 def test_wrong_conviction_fires_when_judged_against_another_member(voting):
     spec, reference = voting
-    result, env = _lying_follower_run(spec, reference)
+    lie = _lying_follower(reference)
+    group, _ = execute(spec, lie)
     # Judged for what it was, the run is clean ...
-    assert byzantine._check_result(spec, result, env, reference,
-                                   expected_liar=1) == []
+    assert judge(group, lie, reference) is None
     # ... judged as if member 2 had lied, member 1's conviction is wrong.
-    entries = byzantine._check_result(spec, result, env, reference,
-                                      expected_liar=2)
-    assert [entry["kind"] for entry in entries] == ["wrong_conviction"]
-    assert "[2]" in entries[0]["detail"] and "[1]" in entries[0]["detail"]
+    entry = judge(group, replace(lie, member=2), reference)
+    assert entry["kind"] == "wrong_conviction"
+    assert entry["lie"] == list(lie.at) and entry["lie_member"] == 2
+    assert "[2]" in entry["detail"] and "[1]" in entry["detail"]
 
 
 def test_false_positive_fires_when_a_lying_run_is_judged_honest(voting):
     spec, reference = voting
-    result, env = _lying_follower_run(spec, reference)
-    entries = byzantine._check_result(spec, result, env, reference,
-                                      expected_liar=None)
-    assert [entry["kind"] for entry in entries] == ["false_positive"]
-    assert "[1]" in entries[0]["detail"]
+    group, _ = execute(spec, _lying_follower(reference))
+    # (``judge`` would stop one check earlier, at ``lie_not_injected``:
+    # a lie fired that the honest fault never armed.)
+    entry = cell.conviction(group, Lie(), reference)
+    assert entry["kind"] == "false_positive"
+    assert entry["lie"] == [] and entry["extra_lies"] == []
+    assert "[1]" in entry["detail"]

@@ -8,13 +8,11 @@ checkpoint interval, not the run length — and a mid-load failover must
 replay only the post-checkpoint tail.
 """
 
+# The replay-budget slack on top of the retained-log high-water mark is
+# the chained conform sweep's own allowance, not a mirrored copy of it.
+from repro.conform import REPLAY_SLACK
 from repro.fleet import Fleet, TrafficSpec
 from repro.replication.config import ReplicationConfig
-
-#: Replay-budget slack on top of the retained-log high-water mark
-#: (mirrors the chained-conform sweep's allowance for the final
-#: partial emission window plus crash-epoch records).
-REPLAY_SLACK = 32
 
 
 def _final_primary_metrics(group):

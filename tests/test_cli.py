@@ -123,3 +123,39 @@ def test_fleet_reports_counts_and_takes_no_arrival_rate(capsys):
     with pytest.raises(SystemExit):
         main(["fleet", "--qps", "300", "--requests", "30"])
     assert "unrecognized arguments: --qps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, flags", [
+    ("byzantine", ["--engine", "both"]),
+    ("byzantine", ["--strategy", "lock_sync"]),
+    ("byzantine", ["--transport", "faulty:lossy"]),
+    ("byzantine", ["--depth", "2"]),
+    ("byzantine", ["--checkpoint-interval", "3"]),
+    ("chained", ["--digest-interval", "4"]),
+    ("chained", ["--members", "5"]),
+    ("chained", ["--variants"]),
+    ("plain", ["--depth", "2"]),
+    ("plain", ["--checkpoint-interval", "3"]),
+    ("plain", ["--members", "5"]),
+    ("plain", ["--variants"]),
+])
+def test_conform_rejects_flags_its_mode_cannot_honour(mode, flags, capsys):
+    """A flag that would change nothing in the chosen sweep is a usage
+    error naming the mode, not a silently swept default."""
+    argv = ["conform", "--workload", "hello"] + flags
+    if mode != "plain":
+        argv.append(f"--{mode}")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"the {mode} sweep" in capsys.readouterr().err
+
+
+def test_conform_honours_workers_and_stride_in_every_mode(capsys):
+    """``--workers``, ``--stride`` and ``--no-shrink`` belong to the one
+    sweep loop, so every mode takes them."""
+    for mode_flags in ([], ["--chained", "--depth", "1"], ["--byzantine"]):
+        assert main(["conform", "--workload", "hello", "--quick",
+                     "--workers", "2", "--stride", "3", "--no-shrink"]
+                    + mode_flags) == 0
+        assert "PASS" in capsys.readouterr().out
