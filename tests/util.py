@@ -45,15 +45,16 @@ def run_asm_main(
     env: Optional[Environment] = None,
     extra_classes: Optional[List[JClass]] = None,
     config: Optional[JVMConfig] = None,
+    exception_table: Optional[list] = None,
 ) -> Tuple[RunResult, JVM, Environment]:
-    """Run hand-written assembly as ``Main.main``."""
+    """Run hand-written assembly as ``Main.main``; ``exception_table``
+    rows (:class:`ExceptionEntry`, numeric pcs) are attached to it."""
     env = env or Environment()
     registry = new_program_registry()
     main_cls = JClass("Main", "Object")
-    main_cls.add_method(JMethod(
-        "main", 0, False, assemble(body, max_locals=max_locals),
-        is_static=True,
-    ))
+    code = assemble(body, max_locals=max_locals)
+    code.exception_table.extend(exception_table or [])
+    main_cls.add_method(JMethod("main", 0, False, code, is_static=True))
     registry.register(main_cls)
     for cls in extra_classes or []:
         registry.register(cls)
