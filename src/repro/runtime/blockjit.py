@@ -3,17 +3,18 @@
 :func:`compile_block` turns one straight-line run of *plain* pre-decoded
 bytecodes (the region between two safe-point-relevant events — no
 control flow, no monitors) into a single generated Python function,
-``compile``d once and cached on the decoded stream.  The generated
-function executes the whole run with no dispatch loop and no
-per-instruction kind test:
+``compile``d once and cached on the decoded stream.  It writes no
+opcode semantics of its own: each op is the row of
+:data:`~repro.runtime.optable.ROWS` that the interpreter's handler is
+rendered from, spliced here in the block discipline —
 
 * the operand stack is simulated at *compile* time — values flow
   through Python temporaries, and ``frame.stack`` is only touched for
   values that live across the block boundary (pops below block entry,
   pushes surviving to block exit);
-* constants, inline-cache cells, and slow-path helpers are bound as
-  default arguments, so every name the hot path touches is a Python
-  local;
+* constants, inline-cache cells, and the helpers a row declares are
+  bound as default arguments, so every name the hot path touches is a
+  Python local;
 * ``thread.instructions`` accounting is deferred: the function returns
   ``(n, result)`` and the caller applies ``n`` as one add (the same
   batch discipline the interpreting loop already uses);
@@ -26,45 +27,35 @@ native, and no output can occur inside it.  Every architectural effect
 (heap writes with their ``mut_era`` stamps, locals, statics, allocation
 order, thrown Java exceptions and their messages) is produced exactly
 as the interpreting loop would produce it, and ``frame.pc`` is
-synchronized before any operation that can dispatch an exception, so
-the handler search and the diagnostic state match the interpreter
-bit-for-bit at every point where they are observable.
+synchronized at the top of every slow path of a row, so the handler
+search and the diagnostic state match the interpreter bit-for-bit at
+every point where they are observable.
 
 Exception exits skip re-materializing the virtual stack because
 :meth:`Interpreter.dispatch_exception` either clears the frame's stack
 (handler in this frame) or discards the frame entirely (unwind) — the
 stale real stack is never observable.
 
-Branch fusion: when the event op terminating a run is a *simple*
-branch (GOTO / IF* — touches only the operand stack and ``pc``, never
-blocks, never raises, never changes the frame list), the block inlines
-it and returns the :data:`BRANCH` sentinel so the caller can do the
-event-exit bookkeeping (``br_cnt`` is ticked in-block, before the
-branch, like the event path does).  The safe-point boundary *before*
-the branch is preserved by a bail-out: if a GC was requested during
-the run, or the caller needs replay-preemption checks this slice
-(``bail``), the block rolls the branch operands back onto the real
-stack and returns at the boundary — the interpreting event path then
-runs the branch after full checks, exactly like ``engine="slice"``.
+Branch fusion: when the event op terminating a run is a branch row
+(GOTO / IF* — touches only the operand stack and ``pc``, never blocks,
+never raises, never changes the frame list), the block inlines it and
+returns the :data:`BRANCH` sentinel so the caller can do the event-exit
+bookkeeping (``br_cnt`` is ticked in-block, before the branch, like the
+event path does).  The safe-point boundary *before* the branch is
+preserved by a bail-out: if a GC was requested during the run, or the
+caller needs replay-preemption checks this slice (``bail``), the block
+rolls the branch operands back onto the real stack and returns at the
+boundary — the interpreting event path then runs the branch after full
+checks, exactly like ``engine="slice"``.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
-from repro.bytecode.opcodes import OP_INFO, Op
-from repro.errors import LinkageError, ReproError
-from repro.runtime.values import (
-    JObject,
-    conforms,
-    describe,
-    java_div,
-    java_rem,
-    java_shl,
-    java_shr,
-    java_ushr,
-    wrap_int,
-)
+from repro.bytecode.opcodes import SAFEPOINT_EVENT_OPS
+from repro.runtime.optable import HELPERS, ROWS, Emitter, Row, decode
 
 #: Runs shorter than this gain nothing over the interpreting batch
 #: loop (a fused branch makes even a one-op run worth compiling);
@@ -78,6 +69,8 @@ MAX_RUN = 512
 #: event-exit bookkeeping (flush deferred counts, check quantum).
 BRANCH = object()
 
+_ATOM = re.compile(r"-?\d+|None|\w+")
+
 
 class CompiledBlock:
     """One compiled straight-line run: ``fn(thread, frame, bail)``
@@ -87,114 +80,34 @@ class CompiledBlock:
     :data:`BRANCH` (the fused branch ran).  ``size`` counts the fused
     branch, so the ``rem >= size`` budget gate covers every path."""
 
-    __slots__ = ("entry", "size", "fn")
+    __slots__ = ("size", "fn")
 
-    def __init__(self, entry: int, size: int, fn) -> None:
-        self.entry = entry
+    def __init__(self, size: int, fn) -> None:
         self.size = size
         self.fn = fn
 
 
-def _field_miss(obj, name):
-    """Slow path shared by GETFIELD/PUTFIELD (always raises)."""
-    raise LinkageError(f"no field {name!r} on {describe(obj)}") from None
+class _BlockEmitter(Emitter):
+    """The block discipline: a virtual operand stack ``vs`` of atomic
+    expressions, and slow paths that synchronise ``frame.pc`` first."""
 
-
-def _store_miss(value, arr):
-    """ARRSTORE element-type mismatch (always raises)."""
-    raise ReproError(
-        f"array store type mismatch: {describe(value)} into "
-        f"{arr.elem_type}[]"
-    )
-
-
-#: Int arithmetic whose raw Python result can leave 32-bit range: the
-#: generated code guards with a cheap range test and only calls
-#: ``wrap_int`` on actual overflow (rare on real workloads).
-_INT_GUARDED = {
-    Op.IADD: "{a} + {b}",
-    Op.ISUB: "{a} - {b}",
-    Op.IMUL: "{a} * {b}",
-}
-
-#: Bitwise ops on in-range two's-complement ints stay in range (Python
-#: sign-extends negative operands), so no wrap is needed at all.
-_INT_EXACT = {
-    Op.IAND: "{a} & {b}",
-    Op.IOR: "{a} | {b}",
-    Op.IXOR: "{a} ^ {b}",
-}
-
-_INT_EXPR = {
-    Op.ISHL: "java_shl({a}, {b})",
-    Op.ISHR: "java_shr({a}, {b})",
-    Op.IUSHR: "java_ushr({a}, {b})",
-}
-
-_DIV_FN = {Op.IDIV: "java_div", Op.IREM: "java_rem"}
-
-_FLOAT_EXPR = {
-    Op.FADD: "{a} + {b}",
-    Op.FSUB: "{a} - {b}",
-    Op.FMUL: "{a} * {b}",
-    Op.FDIV: "(({a} / {b}) if {b} != 0.0 else f_div_zero({a}))",
-}
-
-#: Comparison symbols (see ``CMP_FNS``) inlined as Python operators.
-_CMP_SRC = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
-            "gt": ">", "ge": ">="}
-
-#: Branch opcodes a block may fuse: stack/pc-only handlers that always
-#: return None — no blocking, no exception, no frame change.
-_FUSABLE = frozenset((
-    Op.GOTO, Op.IF, Op.IF_ICMP, Op.IF_FCMP, Op.IF_SCMP,
-    Op.IF_NULL, Op.IF_NONNULL, Op.IF_ACMP_EQ, Op.IF_ACMP_NE,
-))
-
-#: Helper callables referenced by generated expressions, keyed by the
-#: exact name the expression uses.
-_EXPR_HELPERS = {
-    "wrap_int": wrap_int,
-    "java_div": java_div,
-    "java_rem": java_rem,
-    "java_shl": java_shl,
-    "java_shr": java_shr,
-    "java_ushr": java_ushr,
-}
-
-
-class _Emitter:
-    """Accumulates generated source for one block."""
-
-    def __init__(self, interp, entry: int) -> None:
-        self.interp = interp
+    def __init__(self, env: dict, entry: int) -> None:
+        super().__init__()
+        self.env = env
         self.entry = entry
-        self.lines: list = []
-        self.vs: list = []          # virtual operand stack (atomic exprs)
-        self.ntemp = 0
+        self.vs: list = []
         self.nconst = 0
         self.binds: dict = {}       # default-arg name -> value
         self.heavy = 0              # jvm.heavy_ops completed so far
-        self.uses_stack = False
-        self.uses_locals = False
+        self.i = 0                  # index of the op being spliced
         self.fused = False
 
-    # ---- source helpers ----------------------------------------------
-    def emit(self, line: str, depth: int = 0) -> None:
-        self.lines.append("    " * (depth + 1) + line)
-
-    def temp(self) -> str:
-        name = f"t{self.ntemp}"
-        self.ntemp += 1
-        return name
-
-    def name(self, name: str, value) -> str:
-        """Bind ``value`` under a fixed well-known name."""
-        self.binds[name] = value
-        return name
+    def bind(self, *names) -> None:
+        for name in names:
+            self.binds[name] = HELPERS.get(name) or self.env[name]
 
     def const(self, value) -> str:
-        """An atomic expression for a constant operand: small ints are
+        """An atomic expression for a constant operand: ints are
         inlined, everything else is bound as a default argument."""
         if type(value) is int:
             return repr(value)
@@ -206,450 +119,117 @@ class _Emitter:
         self.binds[name] = value
         return name
 
-    def need(self, expr: str) -> None:
-        for name, fn in _EXPR_HELPERS.items():
-            if name in expr:
-                self.binds[name] = fn
-        if "f_div_zero" in expr:
-            from repro.runtime.interpreter import _f_div_zero
+    def operands(self, row: Row, arg, cmp=None) -> dict:
+        parts = arg if len(row.operands) > 1 else (arg,)
+        return self.names(row, [self.const(v) for v in parts], cmp)
 
-            self.binds["f_div_zero"] = _f_div_zero
-
-    # ---- virtual stack -----------------------------------------------
     def pop(self) -> str:
         if self.vs:
             return self.vs.pop()
-        self.uses_stack = True
         t = self.temp()
         self.emit(f"{t} = S.pop()")
         return t
 
-    def push(self, expr: str) -> None:
-        self.vs.append(expr)
+    def int32(self, target: str, expr: str, depth: int) -> None:
+        self.bind("wrap_int")
+        super().int32(target, expr, depth)
 
-    def assign(self, expr: str) -> None:
-        t = self.temp()
-        self.emit(f"{t} = {expr}")
-        self.push(t)
-
-    def assign_guarded(self, expr: str) -> str:
-        """Assign an int result, wrapping to 32-bit only when the cheap
-        range test says the raw Python value actually overflowed."""
-        self.need("wrap_int")
-        t = self.temp()
-        self.emit(f"{t} = {expr}")
-        self.emit(f"if {t} > 2147483647 or {t} < -2147483648:")
-        self.emit(f"{t} = wrap_int({t})", 1)
-        self.push(t)
-        return t
-
-    # ---- exits -------------------------------------------------------
-    def exit(self, i: int, call: str, depth: int = 1) -> None:
-        """Early exit after the ``i``-th op dispatched a Java exception
-        (or terminated the thread): sync pc, flush deferred heavy-op
-        accounting, return the per-op count and the handler's result."""
-        self.emit(f"frame.pc = {self.entry + i}", depth)
+    def slow(self, action: str, depth: int) -> None:
+        """Sync pc to the op; a Java exception exit also settles the
+        deferred heavy ops and returns the count of ops run, this one
+        included."""
+        self.emit(f"frame.pc = {self.entry + self.i}", depth)
+        if not action.startswith("return "):
+            self.emit(action, depth)
+            return
         if self.heavy:
-            self.name("jvm", self.interp._jvm)
+            self.bind("jvm")
             self.emit(f"jvm.heavy_ops += {self.heavy}", depth)
-        self.emit(f"return ({i + 1}, {call})", depth)
+        self.emit(f"return ({self.i + 1}, {action[7:]})", depth)
 
-    # ---- per-op code generation --------------------------------------
-    def op(self, i: int, op, arg) -> bool:    # noqa: C901 (one big table)
-        interp = self.interp
-        pc = self.entry + i
-        if op is Op.NOP:
-            return True
-        if op in (Op.ICONST, Op.FCONST, Op.SCONST):
-            self.push(self.const(arg))
-            return True
-        if op is Op.ACONST_NULL:
-            self.push("None")
-            return True
-        if op is Op.LOAD:
-            self.uses_locals = True
-            self.assign(f"LV[{arg}]")
-            return True
-        if op is Op.STORE:
-            v = self.pop()
-            self.uses_locals = True
-            self.emit(f"LV[{arg}] = {v}")
-            return True
-        if op is Op.IINC:
-            slot, delta = arg
-            self.uses_locals = True
-            self.need("wrap_int")
-            t = self.temp()
-            self.emit(f"{t} = LV[{slot}] + {delta}")
-            self.emit(f"if {t} > 2147483647 or {t} < -2147483648:")
-            self.emit(f"{t} = wrap_int({t})", 1)
-            self.emit(f"LV[{slot}] = {t}")
-            return True
-        if op is Op.POP:
-            if self.vs:
-                self.vs.pop()
-            else:
-                self.uses_stack = True
-                self.emit("S.pop()")
-            return True
-        if op is Op.DUP:
-            if self.vs:
-                self.vs.append(self.vs[-1])
-            else:
-                self.uses_stack = True
-                t = self.temp()
-                self.emit(f"{t} = S[-1]")
-                self.push(t)
-            return True
-        if op is Op.DUP_X1:
-            b = self.pop()
-            a = self.pop()
-            self.push(b)
-            self.push(a)
-            self.push(b)
-            return True
-        if op is Op.SWAP:
-            b = self.pop()
-            a = self.pop()
-            self.push(b)
-            self.push(a)
-            return True
-        if op is Op.INEG:
-            a = self.pop()
-            self.assign_guarded(f"-{a}")
-            return True
-        if op is Op.FNEG:
-            self.assign(f"-{self.pop()}")
-            return True
-        if op is Op.I2F:
-            self.assign(f"float({self.pop()})")
-            return True
-        if op is Op.F2I:
-            self.need("wrap_int")
-            self.assign(f"wrap_int(int({self.pop()}))")
-            return True
-        if op is Op.I2S:
-            self.assign(f"str({self.pop()})")
-            return True
-        if op is Op.F2S:
-            self.assign(f"repr(float({self.pop()}))")
-            return True
-        if op is Op.SCONCAT:
-            b = self.pop()
-            a = self.pop()
-            self.assign(f"{a} + {b}")
-            return True
-        if op is Op.S2I:
-            a = self.pop()
-            self.need("wrap_int")
-            self.name("throw_new", interp.throw_new)
-            t = self.temp()
-            self.emit("try:")
-            self.emit(f"{t} = wrap_int(int({a}.strip(), 10))", 1)
-            self.emit("except ValueError:")
-            self.exit(i, "throw_new(thread, 'NumberFormatException', "
-                         f"'for input string: %r' % ({a},))")
-            self.push(t)
-            return True
-        if op in _DIV_FN:
-            b = self.pop()
-            a = self.pop()
-            self.name("throw_new", interp.throw_new)
-            self.emit(f"if {b} == 0:")
-            self.exit(i, "throw_new(thread, 'ArithmeticException', "
-                         "'/ by zero')")
-            if op is Op.IDIV:
-                # Truncate toward zero: when the signs differ, negating
-                # the dividend makes Python's floor division truncate.
-                # Only -2**31 // -1 leaves range; the guard wraps it.
-                self.assign_guarded(
-                    f"{a} // {b} if ({a} < 0) == ({b} < 0) "
-                    f"else -(-{a} // {b})"
-                )
-            else:
-                # Java remainder carries the dividend's sign; Python's
-                # carries the divisor's — shift by one divisor when they
-                # disagree.  |result| < |divisor|, so always in range.
-                t = self.temp()
-                self.emit(f"{t} = {a} % {b}")
-                self.emit(f"if {t} and ({a} < 0) != ({b} < 0):")
-                self.emit(f"{t} -= {b}", 1)
-                self.push(t)
-            return True
-        if op in _INT_GUARDED:
-            b = self.pop()
-            a = self.pop()
-            self.assign_guarded(_INT_GUARDED[op].format(a=a, b=b))
-            return True
-        if op in _INT_EXACT:
-            b = self.pop()
-            a = self.pop()
-            self.assign(_INT_EXACT[op].format(a=a, b=b))
-            return True
-        if op in _INT_EXPR:
-            b = self.pop()
-            a = self.pop()
-            expr = _INT_EXPR[op].format(a=a, b=b)
-            self.need(expr)
-            self.assign(expr)
-            return True
-        if op in _FLOAT_EXPR:
-            b = self.pop()
-            a = self.pop()
-            expr = _FLOAT_EXPR[op].format(a=a, b=b)
-            self.need(expr)
-            self.assign(expr)
-            self.heavy += 1
-            self.name("jvm", interp._jvm)
-            return True
-        if op is Op.NEW:
-            cn = self.const(arg)
-            self.name("new_checked", interp._new_checked)
-            self.name("resolve", interp._registry.resolve)
-            self.name("alloc_object", interp._heap.alloc_object)
-            self.emit(f"if {cn} not in new_checked:")
-            self.emit(f"frame.pc = {pc}", 1)
-            self.emit(f"resolve({cn})", 1)
-            self.emit(f"new_checked.add({cn})", 1)
-            self.assign(f"alloc_object({cn})")
-            return True
-        if op is Op.GETFIELD:
-            o = self.pop()
-            nk = self.const(arg)
-            self.name("npe", interp._npe)
-            self.name("field_miss", _field_miss)
-            self.emit(f"if {o} is None:")
-            self.exit(i, f"npe(thread, {self.const('getfield ' + arg)})")
-            t = self.temp()
-            self.emit("try:")
-            self.emit(f"{t} = {o}.fields[{nk}]", 1)
-            self.emit("except (KeyError, AttributeError):")
-            self.emit(f"frame.pc = {pc}", 1)
-            self.emit(f"field_miss({o}, {nk})", 1)
-            self.push(t)
-            return True
-        if op is Op.PUTFIELD:
-            v = self.pop()
-            o = self.pop()
-            nk = self.const(arg)
-            self.name("npe", interp._npe)
-            self.name("field_miss", _field_miss)
-            self.name("JObject", JObject)
-            self.name("heap", interp._heap)
-            self.emit(f"if {o} is None:")
-            self.exit(i, f"npe(thread, {self.const('putfield ' + arg)})")
-            self.emit(f"if not isinstance({o}, JObject) "
-                      f"or {nk} not in {o}.fields:")
-            self.emit(f"frame.pc = {pc}", 1)
-            self.emit(f"field_miss({o}, {nk})", 1)
-            self.emit(f"{o}.fields[{nk}] = {v}")
-            self.emit(f"{o}.mut_era = heap.era")
-            return True
-        if op in (Op.GETSTATIC, Op.PUTSTATIC):
-            ck = self.const(arg)          # the shared inline-cache cell
-            self.name("jvm", self.interp._jvm)
-            self.name("static_slot", self.interp._jvm._static_slot)
-            s = self.temp()
-            self.emit(f"{s} = {ck}[2]")
-            self.emit(f"if {s} is None:")
-            self.emit(f"frame.pc = {pc}", 1)
-            self.emit(f"{s} = static_slot({ck}[0], {ck}[1])", 1)
-            self.emit(f"{ck}[2] = {s}", 1)
-            if op is Op.GETSTATIC:
-                self.assign(f"jvm.statics[{s}]")
-            else:
-                self.emit(f"jvm.statics[{s}] = {self.pop()}")
-            return True
-        if op is Op.INSTANCEOF:
-            v = self.pop()
-            ck = self.const(arg)
-            self.name("cached_instance", self.interp._cached_instance)
-            self.assign(f"1 if cached_instance({v}, {ck}) else 0")
-            return True
-        if op is Op.CHECKCAST:
-            v = self.pop()
-            ck = self.const(arg)
-            cn = self.const(arg[0])
-            self.name("cached_instance", self.interp._cached_instance)
-            self.name("describe", describe)
-            self.name("throw_new", interp.throw_new)
-            self.emit(f"if {v} is not None "
-                      f"and not cached_instance({v}, {ck}):")
-            self.exit(i, "throw_new(thread, 'ClassCastException', "
-                         f"'%s cannot be cast to %s' % (describe({v}), {cn}))")
-            self.push(v)
-            return True
-        if op is Op.NEWARRAY:
-            ln = self.pop()
-            et = self.const(arg)
-            self.name("throw_new", interp.throw_new)
-            self.name("alloc_array", interp._heap.alloc_array)
-            self.emit(f"if {ln} < 0:")
-            self.exit(i, "throw_new(thread, 'NegativeArraySizeException', "
-                         f"str({ln}))")
-            self.assign(f"alloc_array({et}, {ln})")
-            return True
-        if op is Op.ARRLOAD:
-            ix = self.pop()
-            a = self.pop()
-            self.name("npe", interp._npe)
-            self.name("oob", interp._oob)
-            self.name("jvm", interp._jvm)
-            self.emit(f"if {a} is None:")
-            self.exit(i, "npe(thread, 'arrload')")
-            d = self.temp()
-            self.emit(f"{d} = {a}.data")
-            t = self.temp()
-            self.emit(f"if 0 <= {ix} < len({d}):")
-            self.emit(f"{t} = {d}[{ix}]", 1)
-            self.emit("else:")
-            self.exit(i, f"oob(thread, {ix}, len({d}))")
-            self.push(t)
-            self.heavy += 1
-            return True
-        if op is Op.ARRSTORE:
-            v = self.pop()
-            ix = self.pop()
-            a = self.pop()
-            self.name("npe", interp._npe)
-            self.name("oob", interp._oob)
-            self.name("conforms", conforms)
-            self.name("store_miss", _store_miss)
-            self.name("heap", interp._heap)
-            self.name("jvm", interp._jvm)
-            self.emit(f"if {a} is None:")
-            self.exit(i, "npe(thread, 'arrstore')")
-            d = self.temp()
-            self.emit(f"{d} = {a}.data")
-            self.emit(f"if not 0 <= {ix} < len({d}):")
-            self.exit(i, f"oob(thread, {ix}, len({d}))")
-            self.emit(f"if not conforms({v}, {a}.elem_type):")
-            self.emit(f"frame.pc = {pc}", 1)
-            self.emit(f"store_miss({v}, {a})", 1)
-            self.emit(f"{d}[{ix}] = {v}")
-            self.emit(f"{a}.mut_era = heap.era")
-            self.heavy += 1
-            return True
-        if op is Op.ARRAYLENGTH:
-            a = self.pop()
-            self.name("npe", interp._npe)
-            self.emit(f"if {a} is None:")
-            self.exit(i, "npe(thread, 'arraylength')")
-            self.assign(f"len({a}.data)")
-            return True
-        return False    # unknown plain op: leave the run interpreted
+    def op(self, i: int, row: Row, arg) -> None:
+        """Splice plain op ``i`` of the run."""
+        self.i = i
+        names = self.operands(row, arg)
+        for name in reversed(row.ins):
+            names[name] = self.pop()
+        self.bind(*row.helpers)
 
-    # ---- fused terminating branch ------------------------------------
-    def fuse(self, np: int, branch_pc: int, op, operands, arg) -> None:
-        """Inline the simple branch at ``branch_pc`` after the ``np``
-        plain ops, guarded by the boundary bail-out (module doc)."""
-        interp = self.interp
-        self.name("heap", interp._heap)
-        self.name("BRANCH", BRANCH)
-        restore: list = []
-        cond = None
-        if op is Op.GOTO:
-            target = arg
-        elif op in (Op.IF_NULL, Op.IF_NONNULL):
-            a = self.pop()
-            restore = [a]
-            cond = (f"{a} is None" if op is Op.IF_NULL
-                    else f"{a} is not None")
-            target = arg
-        elif op in (Op.IF_ACMP_EQ, Op.IF_ACMP_NE):
-            b = self.pop()
-            a = self.pop()
-            restore = [a, b]
-            cond = (f"{a} is {b}" if op is Op.IF_ACMP_EQ
-                    else f"{a} is not {b}")
-            target = arg
-        elif op is Op.IF:
-            a = self.pop()
-            restore = [a]
-            sym = _CMP_SRC.get(operands[0])
-            cond = (f"{a} {sym} 0" if sym is not None
-                    else f"{self.const(arg[0])}({a}, 0)")
-            target = arg[1]
-        else:   # IF_ICMP / IF_FCMP / IF_SCMP
-            b = self.pop()
-            a = self.pop()
-            restore = [a, b]
-            sym = _CMP_SRC.get(operands[0])
-            cond = (f"{a} {sym} {b}" if sym is not None
-                    else f"{self.const(arg[0])}({a}, {b})")
-            target = arg[1]
-        self.emit(f"frame.pc = {branch_pc}")
-        if self.heavy:
-            self.name("jvm", interp._jvm)
-            self.emit(f"jvm.heavy_ops += {self.heavy}")
-        if self.vs or restore:
-            self.uses_stack = True
-        for expr in self.vs:
-            self.emit(f"S.append({expr})")
-        self.vs = []
+        def push(expr, depth):
+            if not _ATOM.fullmatch(expr):
+                t = self.temp()
+                self.emit(f"{t} = {expr}", depth)
+                expr = t
+            self.vs.append(expr)
+
+        self.body(row, names, push)
+        self.heavy += row.heavy
+
+    def fuse(self, np: int, branch_pc: int, row: Row, cmp, target) -> None:
+        """Inline the branch at ``branch_pc`` after the ``np`` plain
+        ops, guarded by the boundary bail-out (module doc)."""
+        names = self.operands(row, target, cmp)
+        restore = [self.pop() for _ in row.ins][::-1]
+        names.update(zip(row.ins, restore))
+        self.bind("heap")
+        self.binds["BRANCH"] = BRANCH
+        self.flush(branch_pc)
         self.emit("if bail or heap.gc_requested:")
         for expr in restore:
             self.emit(f"S.append({expr})", 1)
         self.emit(f"return ({np}, None)", 1)
         self.emit("thread.br_cnt += 1")
-        if cond is None:
+        if row.cond is None:
             self.emit(f"frame.pc = {target}")
         else:
-            self.emit(f"frame.pc = {target} if {cond} else {branch_pc + 1}")
+            self.emit(f"frame.pc = {target} if {self.sub(row.cond, names)} "
+                      f"else {branch_pc + 1}")
         self.emit(f"return ({np + 1}, BRANCH)")
         self.fused = True
 
-    # ---- final rendering ---------------------------------------------
+    def flush(self, pc: int) -> None:
+        """Leave the run at ``pc``: settle heavy ops, materialize the
+        virtual stack."""
+        self.emit(f"frame.pc = {pc}")
+        if self.heavy:
+            self.bind("jvm")
+            self.emit(f"jvm.heavy_ops += {self.heavy}")
+        for expr in self.vs:
+            self.emit(f"S.append({expr})")
+        self.vs = []
+
     def render(self, size: int) -> str:
+        if not self.fused:
+            self.flush(self.entry + size)
+            self.emit(f"return ({size}, None)")
         sig = ["thread", "frame", "bail"]
         sig.extend(f"{name}={name}" for name in self.binds)
-        out = [f"def __block__({', '.join(sig)}):"]
-        if self.uses_stack or self.vs:
-            out.append("    S = frame.stack")
-        if self.uses_locals:
-            out.append("    LV = frame.locals")
-        out.extend(self.lines)
-        if not self.fused:
-            out.append(f"    frame.pc = {self.entry + size}")
-            if self.heavy:
-                out.append(f"    jvm.heavy_ops += {self.heavy}")
-            for expr in self.vs:
-                out.append(f"    S.append({expr})")
-            out.append(f"    return ({size}, None)")
-        return "\n".join(out) + "\n"
+        return self.function(f"__block__({', '.join(sig)})")
 
 
 def compile_block(interp, stream, entry: int) -> Optional[CompiledBlock]:
     """Compile the straight-line run starting at ``entry`` in
     ``stream`` (a :class:`~repro.runtime.interpreter._DecodedStream`).
 
-    Returns None when the run is too short/long or contains an opcode
-    the code generator does not model — the interpreting batch loop
-    keeps handling those entries.
+    Returns None when the run is too short or too long — the
+    interpreting batch loop keeps handling those entries.
     """
-    code = stream.code
-    instrs = code.instructions
+    instrs = stream.code.instructions
     end = entry
-    n_instr = len(instrs)
-    while end < n_instr:
-        info = OP_INFO[instrs[end].op]
-        if info.is_control_flow or info.is_monitor:
-            break
+    while end < len(instrs) and instrs[end].op not in SAFEPOINT_EVENT_OPS:
         end += 1
     size = end - entry
-    branch = instrs[end] if end < n_instr and instrs[end].op in _FUSABLE \
-        else None
-    if size > MAX_RUN or size < (1 if branch is not None else MIN_RUN):
+    # The only event ops with a table row are the fusable branches.
+    row = ROWS.get(instrs[end].op) if end < len(instrs) else None
+    if size > MAX_RUN or size < (1 if row is not None else MIN_RUN):
         return None
-    em = _Emitter(interp, entry)
+    em = _BlockEmitter(interp._env, entry)
     for i in range(size):
-        if not em.op(i, instrs[entry + i].op, stream[entry + i][2]):
-            return None
-    if branch is not None:
-        em.fuse(size, end, branch.op, branch.operands, stream[end][2])
+        em.op(i, ROWS[instrs[entry + i].op], stream[entry + i][2])
+    if row is not None:
+        cmp, target = decode(row, instrs[end].operands)
+        em.fuse(size, end, row, cmp, target)
     src = em.render(size)
     gbls = dict(em.binds)
-    exec(compile(src, f"<block {code.uid}:{entry}>", "exec"), gbls)
-    return CompiledBlock(
-        entry, size + (1 if branch is not None else 0), gbls["__block__"]
-    )
+    exec(compile(src, f"<block {stream.code.uid}:{entry}>", "exec"), gbls)
+    return CompiledBlock(size + (row is not None), gbls["__block__"])

@@ -6,11 +6,16 @@ each corresponding to an application thread" — maps onto this directly:
 the state machine's commands are bytecodes, its state variables are the
 frames, heap, and statics reachable from the thread.
 
-The engine has a single execution semantics with two drivers:
+Each command has one meaning.  Plain and branch bytecodes are rows of
+the opcode table (:mod:`repro.runtime.optable`), rendered once per
+process into the ``(thread, frame, arg)`` handlers dispatched here and
+spliced by the block compiler; only the safe-point *event* ops —
+invoke, return, monitorenter/monitorexit, athrow — are written by hand
+below.  Three dispatch disciplines run those semantics:
 
 * :meth:`Interpreter.run_slice` is the fast path.  Each method's code
   array is translated once into a *pre-decoded stream* of
-  ``(kind, bound_handler, decoded_operands)`` triples (cached per
+  ``(kind, handler, decoded_operands)`` triples (cached per
   interpreter, keyed by ``Code.uid``), and the inner loop executes
   straight-line bytecodes back-to-back, returning to the
   scheduler/replication layer only at *safe-point-relevant events*:
@@ -24,8 +29,7 @@ The engine has a single execution semantics with two drivers:
   generated-Python superinstructions (:mod:`repro.runtime.blockjit`),
   cached on the decoded stream and invalidated with it.
 * :meth:`Interpreter.step` executes exactly one instruction with the
-  identical semantics (a specialized ``budget=1`` path), restoring the
-  seed's per-instruction discipline for detached contexts and for the
+  identical semantics, for detached contexts and for the
   ``engine="step"`` reference loop.
 
 Counter discipline (replication-critical):
@@ -52,31 +56,18 @@ All of it is dropped when the class registry's version moves.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.bytecode.methodref import MethodRef, parse_method_ref
-from repro.bytecode.opcodes import CMP_FNS, OP_INFO, Op
-from repro.errors import LinkageError, ReproError
+from repro.bytecode.opcodes import OP_INFO, SAFEPOINT_EVENT_OPS, Op
+from repro.errors import ReproError
 from repro.runtime.blockjit import BRANCH, compile_block
 from repro.runtime.frames import Frame
+from repro.runtime.optable import ROWS, bind_handler, decode, environment
 from repro.runtime.scheduler import SliceEnd
 from repro.runtime.sync import EnterResult
 from repro.runtime.threads import JavaThread
-from repro.runtime.values import (
-    JArray,
-    JObject,
-    conforms,
-    describe,
-    java_div,
-    java_rem,
-    java_shl,
-    java_shr,
-    java_ushr,
-    wrap_int,
-)
-
-#: Opcodes counted as control-flow changes for ``br_cnt``.
-CF_OPS = frozenset(op for op, info in OP_INFO.items() if info.is_control_flow)
+from repro.runtime.values import JArray, JObject, describe
 
 #: Decoded-stream instruction kinds.  Plain instructions may be batched
 #: between safe-point boundaries; the other two are safe-point events.
@@ -86,6 +77,9 @@ _K_MON = 2     # monitorenter/monitorexit: may tick mon_cnt or block
 
 #: Effectively-unbounded default for quantum/budget.
 _UNLIMITED = 1 << 60
+
+#: ``run_slice``'s block result before any block ran at this entry.
+_COLD = object()
 
 
 class StepResult(enum.Enum):
@@ -152,13 +146,15 @@ class Interpreter:
         self._heap = jvm.heap
         self._sync = jvm.sync
         self._ref_cache: Dict[str, MethodRef] = {}
-        self._dispatch = self._build_dispatch()
-        self._decoders = self._build_decoders()
         #: Decoded streams keyed by ``Code.uid`` — per interpreter, so
         #: bound handlers and inline caches never cross replicas even
         #: though the class registry (and its Code objects) are shared.
         self._code_cache: Dict[int, list] = {}
         self._new_checked: set = set()
+        #: What the table's handlers and block splices bind (optable).
+        self._env = environment(self)
+        #: ``(op, cmp token)`` -> ``(kind, handler)``, bound on first use.
+        self._handlers: dict = {}
         self._registry_version = self._registry.version
         self._compile_blocks = jvm.config.engine == "block"
         self._block_threshold = jvm.config.block_hot_threshold
@@ -229,80 +225,47 @@ class Interpreter:
                 kind, handler, arg = stream[frame.pc]
                 if kind == _K_PLAIN:
                     if compile_blocks:
-                        pc = frame.pc
-                        blk = stream.blocks.get(pc)
-                        if blk is None:
-                            counts = stream.counts
-                            seen = counts.get(pc, 0) + 1
-                            counts[pc] = seen
-                            if seen >= self._block_threshold:
-                                blk = compile_block(self, stream, pc)
-                                stream.blocks[pc] = (
-                                    False if blk is None else blk
-                                )
-                                if blk is not None:
-                                    self.blocks_compiled += 1
-                        if blk and rem >= blk.size:
-                            # ---- compiled superinstruction block -----
-                            # Executes the whole straight-line run in
-                            # one call; counts come back deferred, like
-                            # the batch loop's, and every exit lands on
-                            # the same boundaries it would reach.
+                        # ---- compiled superinstruction blocks --------
+                        # Each runs a whole straight-line run in one
+                        # call; counts come back deferred, like the
+                        # batch loop's, and every exit lands on the
+                        # same boundaries it would reach.  After a
+                        # fused branch: event-exit bookkeeping, same
+                        # order as below, then chain straight into the
+                        # next block.  The loop-top checks are provably
+                        # no-ops there: the block bails *before* the
+                        # branch when a GC is pending or preemption
+                        # checks are on, and a branch can set neither.
+                        result = _COLD
+                        while True:
+                            blk = stream.blocks.get(frame.pc)
+                            if blk is None:
+                                blk = self._warm(stream, frame.pc)
+                            if not blk or rem < blk.size:
+                                break
                             bhits += 1
                             n, result = blk.fn(thread, frame, check_preempt)
                             thread.instructions += n
                             pending += n
                             rem -= n
-                            while result is BRANCH:
-                                # The fused branch ran: event-exit
-                                # bookkeeping, same order as below —
-                                # then chain straight into the next
-                                # compiled block.  The loop-top checks
-                                # are provably no-ops here: the block
-                                # bails *before* the branch when a GC
-                                # is pending or preemption checks are
-                                # on, and a branch can set neither.
-                                if track and pending:
-                                    jvm.instructions += pending
-                                    pending = 0
-                                if thread.br_cnt - start_br >= quantum:
-                                    return SliceEnd.QUANTUM
-                                if rem <= 0:
-                                    return SliceEnd.BUDGET
-                                pc = frame.pc
-                                blk = stream.blocks.get(pc)
-                                if blk is None:
-                                    counts = stream.counts
-                                    seen = counts.get(pc, 0) + 1
-                                    counts[pc] = seen
-                                    if seen < self._block_threshold:
-                                        break
-                                    blk = compile_block(self, stream, pc)
-                                    stream.blocks[pc] = (
-                                        False if blk is None else blk
-                                    )
-                                    if blk is not None:
-                                        self.blocks_compiled += 1
-                                if not blk or rem < blk.size:
-                                    break
-                                bhits += 1
-                                n, result = blk.fn(
-                                    thread, frame, check_preempt
-                                )
-                                thread.instructions += n
-                                pending += n
-                                rem -= n
-                            if result is BRANCH:
-                                continue  # un-compiled target: dispatch
-                            if result is None:
-                                if rem <= 0:
-                                    return SliceEnd.BUDGET
-                                continue  # event op next: full checks
-                            if result is not StepResult.CONTINUE:
+                            if result is not BRANCH:
+                                break
+                            if track and pending:
+                                jvm.instructions += pending
+                                pending = 0
+                            if thread.br_cnt - start_br >= quantum:
+                                return SliceEnd.QUANTUM
+                            if rem <= 0:
+                                return SliceEnd.BUDGET
+                        if result is BRANCH:
+                            continue  # un-compiled target: dispatch
+                        if result is not _COLD:
+                            if (result is not None
+                                    and result is not StepResult.CONTINUE):
                                 return _SLICE_END_OF_RESULT[result]
                             if rem <= 0:
                                 return SliceEnd.BUDGET
-                            continue
+                            continue  # next op gets full checks
                     # ---- batch straight-line bytecodes ---------------
                     # Per-thread accounting runs in a local and is
                     # flushed at every batch exit: nothing inside a
@@ -355,14 +318,8 @@ class Interpreter:
                 if rem <= 0:
                     return SliceEnd.BUDGET
         except IndexError:
-            frame = thread.frames[-1] if thread.frames else None
-            if frame is None or frame.pc >= len(frame.method.code.instructions):
-                raise
-            op = frame.method.code.instructions[frame.pc].op
-            raise ReproError(
-                f"operand stack underflow at {frame.method.qualified_name}"
-                f":{frame.pc} ({op.value}) — verifier should have caught this"
-            ) from None
+            _stack_underflow(thread)
+            raise
         finally:
             if pending and track:
                 jvm.instructions += pending
@@ -405,21 +362,15 @@ class Interpreter:
                 return StepResult.CONTINUE
             return result
         except IndexError:
-            frame = thread.frames[-1] if thread.frames else None
-            if frame is None or frame.pc >= len(frame.method.code.instructions):
-                raise
-            op = frame.method.code.instructions[frame.pc].op
-            raise ReproError(
-                f"operand stack underflow at {frame.method.qualified_name}"
-                f":{frame.pc} ({op.value}) — verifier should have caught this"
-            ) from None
+            _stack_underflow(thread)
+            raise
 
     # ==================================================================
     # Pre-decoded instruction streams
     # ==================================================================
     def _decode(self, code) -> list:
         """Translate (and cache) one code array into its stream of
-        ``(kind, bound_handler, decoded_operands)`` triples."""
+        ``(kind, handler, decoded_operands)`` triples."""
         stream = _DecodedStream(
             (self._decode_instr(instr) for instr in code.instructions), code
         )
@@ -428,59 +379,37 @@ class Interpreter:
 
     def _decode_instr(self, instr):
         op = instr.op
-        info = OP_INFO[op]
-        if info.is_control_flow:
-            kind = _K_CF
-        elif info.is_monitor:
-            kind = _K_MON
+        row = ROWS.get(op)
+        if row is not None:
+            cmp, arg = decode(row, instr.operands)
+        elif instr.operands:    # of the event ops, only invokes have any
+            cmp, arg = None, _InvokeSite(
+                op, self._method_ref(instr.operands[0]))
         else:
-            kind = _K_PLAIN
-        decoder = self._decoders.get(op)
-        arg = decoder(instr) if decoder is not None else None
-        return (kind, self._dispatch[op], arg)
+            cmp, arg = None, None
+        bound = self._handlers.get((op, cmp))
+        if bound is None:       # event ops are hand-written: _op_<mnemonic>
+            if op not in SAFEPOINT_EVENT_OPS:
+                kind = _K_PLAIN
+            else:
+                kind = _K_MON if OP_INFO[op].is_monitor else _K_CF
+            bound = self._handlers[op, cmp] = (kind, (
+                bind_handler((op, cmp), self._env) if row is not None
+                else getattr(self, f"_op_{op.value}")))
+        return (*bound, arg)
 
-    def _build_decoders(self):
-        """Per-opcode operand pre-decoding: the hot loop never touches
-        ``Instruction`` objects or re-parses operand strings."""
-        def first(instr):
-            return instr.operands[0]
-
-        def all_operands(instr):
-            return instr.operands
-
-        def cmp_pair(instr):
-            cmp_op, target = instr.operands
-            return (CMP_FNS[cmp_op], target)
-
-        def static_cell(instr):
-            class_name, field_name = instr.operands
-            return [class_name, field_name, None]  # slot filled on first use
-
-        def type_cell(instr):
-            return [instr.operands[0], None, False]  # last class, last answer
-
-        def invoke_site(instr):
-            return _InvokeSite(instr.op, self._method_ref(instr.operands[0]))
-
-        d = {
-            op: first
-            for op in (
-                Op.ICONST, Op.FCONST, Op.SCONST, Op.LOAD, Op.STORE,
-                Op.GOTO, Op.IF_NULL, Op.IF_NONNULL, Op.IF_ACMP_EQ,
-                Op.IF_ACMP_NE, Op.NEW, Op.GETFIELD, Op.PUTFIELD,
-                Op.NEWARRAY,
-            )
-        }
-        d[Op.IINC] = all_operands
-        for op in (Op.IF, Op.IF_ICMP, Op.IF_FCMP, Op.IF_SCMP):
-            d[op] = cmp_pair
-        d[Op.GETSTATIC] = static_cell
-        d[Op.PUTSTATIC] = static_cell
-        d[Op.INSTANCEOF] = type_cell
-        d[Op.CHECKCAST] = type_cell
-        for op in (Op.INVOKEVIRTUAL, Op.INVOKESPECIAL, Op.INVOKESTATIC):
-            d[op] = invoke_site
-        return d
+    def _warm(self, stream, pc: int):
+        """Count one more entry at ``pc`` of a run with no block yet;
+        at the hot threshold, compile it (``False`` marks a run that
+        cannot compile).  Returns the block, or None while cold."""
+        seen = stream.counts.get(pc, 0) + 1
+        stream.counts[pc] = seen
+        if seen < self._block_threshold:
+            return None
+        blk = stream.blocks[pc] = compile_block(self, stream, pc) or False
+        if blk:
+            self.blocks_compiled += 1
+        return blk
 
     def _invalidate_caches(self) -> None:
         """Drop all decoded streams and inline caches.
@@ -548,289 +477,8 @@ class Interpreter:
             frame.sync_object = None
 
     # ==================================================================
-    # Dispatch table construction
+    # Slow paths the table's rows bind (optable.environment)
     # ==================================================================
-    def _build_dispatch(self):
-        d = {
-            Op.NOP: self._op_nop,
-            Op.ICONST: self._op_const,
-            Op.FCONST: self._op_const,
-            Op.SCONST: self._op_const,
-            Op.ACONST_NULL: self._op_aconst_null,
-            Op.LOAD: self._op_load,
-            Op.STORE: self._op_store,
-            Op.IINC: self._op_iinc,
-            Op.POP: self._op_pop,
-            Op.DUP: self._op_dup,
-            Op.DUP_X1: self._op_dup_x1,
-            Op.SWAP: self._op_swap,
-            Op.INEG: self._op_ineg,
-            Op.FNEG: self._op_fneg,
-            Op.I2F: self._op_i2f,
-            Op.F2I: self._op_f2i,
-            Op.SCONCAT: self._op_sconcat,
-            Op.S2I: self._op_s2i,
-            Op.I2S: self._op_i2s,
-            Op.F2S: self._op_f2s,
-            Op.GOTO: self._op_goto,
-            Op.IF_ICMP: self._op_if_cmp,
-            Op.IF_FCMP: self._op_if_cmp,
-            Op.IF_SCMP: self._op_if_cmp,
-            Op.IF: self._op_if,
-            Op.IF_NULL: self._op_if_null,
-            Op.IF_NONNULL: self._op_if_nonnull,
-            Op.IF_ACMP_EQ: self._op_if_acmp_eq,
-            Op.IF_ACMP_NE: self._op_if_acmp_ne,
-            Op.NEW: self._op_new,
-            Op.GETFIELD: self._op_getfield,
-            Op.PUTFIELD: self._op_putfield,
-            Op.GETSTATIC: self._op_getstatic,
-            Op.PUTSTATIC: self._op_putstatic,
-            Op.INSTANCEOF: self._op_instanceof,
-            Op.CHECKCAST: self._op_checkcast,
-            Op.NEWARRAY: self._op_newarray,
-            Op.ARRLOAD: self._op_arrload,
-            Op.ARRSTORE: self._op_arrstore,
-            Op.ARRAYLENGTH: self._op_arraylength,
-            Op.INVOKEVIRTUAL: self._op_invoke,
-            Op.INVOKESPECIAL: self._op_invoke,
-            Op.INVOKESTATIC: self._op_invoke,
-            Op.RETURN: self._op_return,
-            Op.VRETURN: self._op_vreturn,
-            Op.MONITORENTER: self._op_monitorenter,
-            Op.MONITOREXIT: self._op_monitorexit,
-            Op.ATHROW: self._op_athrow,
-        }
-        for op, fn in _INT_BINOPS.items():
-            d[op] = self._make_int_binop(fn, op)
-        for op, fn in _FLOAT_BINOPS.items():
-            d[op] = self._make_float_binop(fn)
-        return d
-
-    # ==================================================================
-    # Simple handlers
-    #
-    # Signature is (thread, frame, arg) where ``arg`` is the pre-decoded
-    # operand payload for the opcode (None when it has none).
-    # ==================================================================
-    def _op_nop(self, thread, frame, arg):
-        frame.pc += 1
-
-    def _op_const(self, thread, frame, value):
-        frame.stack.append(value)
-        frame.pc += 1
-
-    def _op_aconst_null(self, thread, frame, arg):
-        frame.stack.append(None)
-        frame.pc += 1
-
-    def _op_load(self, thread, frame, slot):
-        frame.stack.append(frame.locals[slot])
-        frame.pc += 1
-
-    def _op_store(self, thread, frame, slot):
-        frame.locals[slot] = frame.stack.pop()
-        frame.pc += 1
-
-    def _op_iinc(self, thread, frame, arg):
-        slot, delta = arg
-        frame.locals[slot] = wrap_int(frame.locals[slot] + delta)
-        frame.pc += 1
-
-    def _op_pop(self, thread, frame, arg):
-        frame.stack.pop()
-        frame.pc += 1
-
-    def _op_dup(self, thread, frame, arg):
-        frame.stack.append(frame.stack[-1])
-        frame.pc += 1
-
-    def _op_dup_x1(self, thread, frame, arg):
-        stack = frame.stack
-        top = stack[-1]
-        stack.insert(-2, top)
-        frame.pc += 1
-
-    def _op_swap(self, thread, frame, arg):
-        stack = frame.stack
-        stack[-1], stack[-2] = stack[-2], stack[-1]
-        frame.pc += 1
-
-    # ==================================================================
-    # Arithmetic
-    # ==================================================================
-    def _make_int_binop(self, fn, op):
-        zero_div = op in (Op.IDIV, Op.IREM)
-
-        def handler(thread, frame, arg):
-            stack = frame.stack
-            b = stack.pop()
-            a = stack.pop()
-            if zero_div and b == 0:
-                return self.throw_new(
-                    thread, "ArithmeticException", "/ by zero"
-                )
-            stack.append(fn(a, b))
-            frame.pc += 1
-
-        return handler
-
-    def _make_float_binop(self, fn):
-        jvm = self._jvm
-
-        def handler(thread, frame, arg):
-            stack = frame.stack
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(fn(a, b))
-            jvm.heavy_ops += 1
-            frame.pc += 1
-
-        return handler
-
-    def _op_ineg(self, thread, frame, arg):
-        frame.stack[-1] = wrap_int(-frame.stack[-1])
-        frame.pc += 1
-
-    def _op_fneg(self, thread, frame, arg):
-        frame.stack[-1] = -frame.stack[-1]
-        frame.pc += 1
-
-    def _op_i2f(self, thread, frame, arg):
-        frame.stack[-1] = float(frame.stack[-1])
-        frame.pc += 1
-
-    def _op_f2i(self, thread, frame, arg):
-        frame.stack[-1] = wrap_int(int(frame.stack[-1]))
-        frame.pc += 1
-
-    # ==================================================================
-    # Strings
-    # ==================================================================
-    def _op_sconcat(self, thread, frame, arg):
-        stack = frame.stack
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(a + b)
-        frame.pc += 1
-
-    def _op_s2i(self, thread, frame, arg):
-        text = frame.stack.pop()
-        try:
-            frame.stack.append(wrap_int(int(text.strip(), 10)))
-        except ValueError:
-            return self.throw_new(
-                thread, "NumberFormatException", f"for input string: {text!r}"
-            )
-        frame.pc += 1
-
-    def _op_i2s(self, thread, frame, arg):
-        frame.stack[-1] = str(frame.stack[-1])
-        frame.pc += 1
-
-    def _op_f2s(self, thread, frame, arg):
-        value = frame.stack[-1]
-        frame.stack[-1] = repr(float(value))
-        frame.pc += 1
-
-    # ==================================================================
-    # Control flow
-    # ==================================================================
-    def _op_goto(self, thread, frame, target):
-        frame.pc = target
-
-    def _op_if_cmp(self, thread, frame, arg):
-        cmp_fn, target = arg
-        b = frame.stack.pop()
-        a = frame.stack.pop()
-        frame.pc = target if cmp_fn(a, b) else frame.pc + 1
-
-    def _op_if(self, thread, frame, arg):
-        cmp_fn, target = arg
-        a = frame.stack.pop()
-        frame.pc = target if cmp_fn(a, 0) else frame.pc + 1
-
-    def _op_if_null(self, thread, frame, target):
-        frame.pc = target if frame.stack.pop() is None else frame.pc + 1
-
-    def _op_if_nonnull(self, thread, frame, target):
-        frame.pc = target if frame.stack.pop() is not None else frame.pc + 1
-
-    def _op_if_acmp_eq(self, thread, frame, target):
-        b = frame.stack.pop()
-        a = frame.stack.pop()
-        frame.pc = target if a is b else frame.pc + 1
-
-    def _op_if_acmp_ne(self, thread, frame, target):
-        b = frame.stack.pop()
-        a = frame.stack.pop()
-        frame.pc = target if a is not b else frame.pc + 1
-
-    # ==================================================================
-    # Objects and fields
-    # ==================================================================
-    def _op_new(self, thread, frame, class_name):
-        if class_name not in self._new_checked:
-            self._registry.resolve(class_name)  # raises LinkageError if unknown
-            self._new_checked.add(class_name)
-        frame.stack.append(self._heap.alloc_object(class_name))
-        frame.pc += 1
-
-    def _op_getfield(self, thread, frame, name):
-        obj = frame.stack.pop()
-        if obj is None:
-            return self._npe(thread, f"getfield {name}")
-        try:
-            frame.stack.append(obj.fields[name])
-        except (KeyError, AttributeError):
-            raise LinkageError(
-                f"no field {name!r} on {describe(obj)}"
-            ) from None
-        frame.pc += 1
-
-    def _op_putfield(self, thread, frame, name):
-        value = frame.stack.pop()
-        obj = frame.stack.pop()
-        if obj is None:
-            return self._npe(thread, f"putfield {name}")
-        if not isinstance(obj, JObject) or name not in obj.fields:
-            raise LinkageError(f"no field {name!r} on {describe(obj)}")
-        obj.fields[name] = value
-        obj.mut_era = self._heap.era
-        frame.pc += 1
-
-    def _op_getstatic(self, thread, frame, cell):
-        slot = cell[2]
-        if slot is None:
-            slot = self._jvm._static_slot(cell[0], cell[1])
-            cell[2] = slot
-        frame.stack.append(self._jvm.statics[slot])
-        frame.pc += 1
-
-    def _op_putstatic(self, thread, frame, cell):
-        slot = cell[2]
-        if slot is None:
-            slot = self._jvm._static_slot(cell[0], cell[1])
-            cell[2] = slot
-        self._jvm.statics[slot] = frame.stack.pop()
-        frame.pc += 1
-
-    def _op_instanceof(self, thread, frame, cell):
-        value = frame.stack.pop()
-        frame.stack.append(1 if self._cached_instance(value, cell) else 0)
-        frame.pc += 1
-
-    def _op_checkcast(self, thread, frame, cell):
-        value = frame.stack[-1]
-        if value is not None and not self._cached_instance(value, cell):
-            frame.stack.pop()
-            return self.throw_new(
-                thread,
-                "ClassCastException",
-                f"{describe(value)} cannot be cast to {cell[0]}",
-            )
-        frame.pc += 1
-
     def _cached_instance(self, value, cell) -> bool:
         """``value instanceof cell[0]``, memoizing the last receiver
         class's answer in the cell (monomorphic type-check cache)."""
@@ -846,70 +494,8 @@ class Interpreter:
         cell[2] = answer
         return answer
 
-    def _is_instance(self, value, class_name: str) -> bool:
-        if value is None:
-            return False
-        if isinstance(value, JArray):
-            return class_name == "Object"
-        return self._registry.is_subtype(value.class_name, class_name)
-
-    # ==================================================================
-    # Arrays
-    # ==================================================================
-    def _op_newarray(self, thread, frame, elem_type):
-        length = frame.stack.pop()
-        if length < 0:
-            return self.throw_new(
-                thread, "NegativeArraySizeException", str(length)
-            )
-        frame.stack.append(self._heap.alloc_array(elem_type, length))
-        frame.pc += 1
-
-    def _op_arrload(self, thread, frame, arg):
-        index = frame.stack.pop()
-        arr = frame.stack.pop()
-        if arr is None:
-            return self._npe(thread, "arrload")
-        if not 0 <= index < len(arr.data):
-            return self._oob(thread, index, len(arr.data))
-        frame.stack.append(arr.data[index])
-        self._jvm.heavy_ops += 1
-        frame.pc += 1
-
-    def _op_arrstore(self, thread, frame, arg):
-        value = frame.stack.pop()
-        index = frame.stack.pop()
-        arr = frame.stack.pop()
-        if arr is None:
-            return self._npe(thread, "arrstore")
-        if not 0 <= index < len(arr.data):
-            return self._oob(thread, index, len(arr.data))
-        if not conforms(value, arr.elem_type):
-            raise ReproError(
-                f"array store type mismatch: {describe(value)} into "
-                f"{arr.elem_type}[]"
-            )
-        arr.data[index] = value
-        arr.mut_era = self._heap.era
-        self._jvm.heavy_ops += 1
-        frame.pc += 1
-
-    def _op_arraylength(self, thread, frame, arg):
-        arr = frame.stack.pop()
-        if arr is None:
-            return self._npe(thread, "arraylength")
-        frame.stack.append(len(arr.data))
-        frame.pc += 1
-
     def _npe(self, thread, what: str) -> StepResult:
         return self.throw_new(thread, "NullPointerException", what)
-
-    def _oob(self, thread, index: int, length: int) -> StepResult:
-        return self.throw_new(
-            thread,
-            "ArrayIndexOutOfBoundsException",
-            f"index {index} out of bounds for length {length}",
-        )
 
     # ==================================================================
     # Monitors
@@ -1072,6 +658,8 @@ class Interpreter:
         thread.frames.append(callee)
         return None
 
+    _op_invokevirtual = _op_invokespecial = _op_invokestatic = _op_invoke
+
     # ==================================================================
     # Returns
     # ==================================================================
@@ -1102,41 +690,16 @@ _SLICE_END_OF_RESULT = {
     StepResult.STARVED: SliceEnd.STARVED,
 }
 
-_STEP_OF_SLICE_END = {
-    SliceEnd.BUDGET: StepResult.CONTINUE,
-    SliceEnd.BLOCKED: StepResult.BLOCKED,
-    SliceEnd.WAITING: StepResult.WAITING,
-    SliceEnd.PARKED: StepResult.PARKED,
-    SliceEnd.YIELDED: StepResult.YIELDED,
-    SliceEnd.TERMINATED: StepResult.TERMINATED,
-    SliceEnd.STARVED: StepResult.STARVED,
-}
 
-
-_INT_BINOPS = {
-    Op.IADD: lambda a, b: wrap_int(a + b),
-    Op.ISUB: lambda a, b: wrap_int(a - b),
-    Op.IMUL: lambda a, b: wrap_int(a * b),
-    Op.IDIV: java_div,
-    Op.IREM: java_rem,
-    Op.ISHL: java_shl,
-    Op.ISHR: java_shr,
-    Op.IUSHR: java_ushr,
-    Op.IAND: lambda a, b: wrap_int(a & b),
-    Op.IOR: lambda a, b: wrap_int(a | b),
-    Op.IXOR: lambda a, b: wrap_int(a ^ b),
-}
-
-_FLOAT_BINOPS = {
-    Op.FADD: lambda a, b: a + b,
-    Op.FSUB: lambda a, b: a - b,
-    Op.FMUL: lambda a, b: a * b,
-    Op.FDIV: lambda a, b: (a / b) if b != 0.0 else _f_div_zero(a),
-}
-
-
-def _f_div_zero(a: float) -> float:
-    """Java float division by zero yields ±Inf or NaN, never a trap."""
-    if a == 0.0:
-        return float("nan")
-    return float("inf") if a > 0 else float("-inf")
+def _stack_underflow(thread: JavaThread) -> None:
+    """Turn an ``IndexError`` out of a handler into the diagnostic it
+    means (the verifier bounds stack depth); returns when the error
+    came from somewhere else, so the caller re-raises it."""
+    frame = thread.frames[-1] if thread.frames else None
+    if frame is None or frame.pc >= len(frame.method.code.instructions):
+        return
+    op = frame.method.code.instructions[frame.pc].op
+    raise ReproError(
+        f"operand stack underflow at {frame.method.qualified_name}"
+        f":{frame.pc} ({op.value}) — verifier should have caught this"
+    ) from None

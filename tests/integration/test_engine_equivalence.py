@@ -10,7 +10,10 @@ still honors one at a time.  These tests enforce that claim across:
 * per-slice ``(vid, progress_point, reason)`` trajectories;
 * replicated primaries under both strategies — byte-identical shipped
   logs;
-* random MiniJava programs (Hypothesis).
+* random MiniJava programs (Hypothesis);
+* random straight-line bytecode ending in a fusable branch, faulting
+  inputs included (Hypothesis) — the opcode table's handler and block
+  renderings against each other, op by op.
 
 The ``block`` engine (superinstruction compiler) rides the same sweep:
 its hot threshold is forced to 1 in these tests so every eligible
@@ -24,6 +27,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.classfile.model import JClass, JField
 from repro.conform.workloads import get_workload, workload_names
 from repro.env.environment import Environment
 from repro.minijava import compile_program
@@ -33,6 +37,7 @@ from repro.runtime.jvm import JVM, JVMConfig, RunHooks
 from repro.runtime.stdlib import default_natives
 from repro.workloads import ALL_WORKLOADS
 from tests.minijava.test_compiler_properties import bool_exprs, int_exprs
+from tests.util import run_asm_main
 
 ENGINES = ("step", "slice", "block")
 
@@ -312,8 +317,6 @@ def straight_line_programs(draw):
 
 
 def _straight_line_classes():
-    from repro.classfile.model import JClass, JField
-
     box = JClass("Box", "Object")
     box.add_field(JField("value", "int"))
     cell = JClass("Cell", "Object")
@@ -325,8 +328,6 @@ def _straight_line_classes():
 @settings(max_examples=80, deadline=None)
 @given(body=straight_line_programs())
 def test_random_straight_line_bytecode_equivalent(body):
-    from tests.util import run_asm_main
-
     observed = {}
     for engine in ENGINES:
         result, jvm, env = run_asm_main(
