@@ -105,11 +105,15 @@ _V_REF = 8
 
 
 def _write_value(w: Writer, v: Any) -> None:
-    if v is None:
+    # Ints first: they are nearly every value a heap holds.  ``type(v)
+    # is int`` rather than ``isinstance``, so a bool keeps its own tag.
+    if type(v) is int:
+        w.uvarint(_V_INT).svarint(v)
+    elif v is None:
         w.uvarint(_V_NONE)
     elif isinstance(v, bool):
         w.uvarint(_V_BOOL).uvarint(1 if v else 0)
-    elif isinstance(v, int):
+    elif isinstance(v, int):            # an int subclass other than bool
         w.uvarint(_V_INT).svarint(v)
     elif isinstance(v, float):
         w.uvarint(_V_FLOAT).f64(v)
@@ -136,12 +140,12 @@ def _write_value(w: Writer, v: Any) -> None:
 
 def _read_value(r: Reader, resolve: Callable[[int], Any]) -> Any:
     tag = r.uvarint()
+    if tag == _V_INT:
+        return r.svarint()
     if tag == _V_NONE:
         return None
     if tag == _V_BOOL:
         return bool(r.uvarint())
-    if tag == _V_INT:
-        return r.svarint()
     if tag == _V_FLOAT:
         return r.f64()
     if tag == _V_STR:

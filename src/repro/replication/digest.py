@@ -129,6 +129,10 @@ class StateDigest:
 
 
 def _scalar_token(value: Any, ref_id: Callable[[Any], int]) -> str:
+    # Ints first (``type`` test: a bool falls through to ``i{value}``
+    # below, as it always has).
+    if type(value) is int:
+        return f"i{value}"
     from repro.runtime.values import JArray, JObject
 
     if value is None:
@@ -418,6 +422,8 @@ class IncrementalStateDigest:
             deps: List[tuple] = []
 
             def tok(value: Any, _deps=deps) -> str:
+                if type(value) is int:
+                    return f"i{value}"
                 if isinstance(value, (JObject, JArray)):
                     vid = ref_id(value)
                     _deps.append((value, vid))
