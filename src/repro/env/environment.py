@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.env.filesystem import FileSystem, FileHandle
@@ -43,7 +43,6 @@ class Environment:
         #: Stable exactly-once response store (serving).
         self.responses = ResponseLog()
         self._seed = seed
-        self._sessions: List["EnvSession"] = []
 
     def port(self, name: str) -> RequestPort:
         """The named request port, created on first use."""
@@ -55,7 +54,7 @@ class Environment:
     def attach(self, process_name: str, *, clock_offset_ms: int = 0,
                entropy_seed: Optional[int] = None) -> "EnvSession":
         """Open a volatile session for one process (replica)."""
-        session = EnvSession(
+        return EnvSession(
             self,
             process_name,
             clock_offset_ms=clock_offset_ms,
@@ -65,8 +64,6 @@ class Environment:
                 else self._seed ^ hash(process_name) & 0xFFFF
             ),
         )
-        self._sessions.append(session)
-        return session
 
     def stable_digest(self) -> str:
         """Canonical hash of all stable state — the oracle for the

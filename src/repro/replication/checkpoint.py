@@ -6,9 +6,11 @@ primary must hand it a *snapshot* of everything the replica state
 machine contains — heap (including unreachable objects, so allocation
 counters and GC trigger points survive exactly), statics, every thread
 with its frames and progress counters, monitor ownership and queues,
-the scheduler's runnable order, virtual time, the side-effect manager's
-volatile-state bookkeeping, and the stable-environment image for
-cold-site priming.
+the scheduler's runnable order, virtual time, and the side-effect
+manager's volatile-state bookkeeping.  The stable environment is not
+in it: files, the console and the response log are the outside world,
+which survives the primary and is shared with every replica, so a
+snapshot that copied them would only grow with every response served.
 
 The snapshot is serialized with the same compact wire format as log
 records and shipped as a sequence of
@@ -44,16 +46,21 @@ Steady-state incremental checkpoints (:class:`DeltaCheckpoint`) reuse
 the same state layout but serialize only the heap objects mutated
 since the heap's last ``advance_era()`` plus the oids freed since
 then; the (small) non-heap sections ship whole.
-:func:`compose_delta` merges a delta onto a decoded base snapshot and
-re-encodes a full :class:`Checkpoint` whose embedded digest is the
-digest the primary computed at delta capture time — so composition
-errors are caught exactly like torn transfers, by digest mismatch on
-restore.
+:func:`compose_delta` merges a delta onto a full snapshot by splicing
+encoded bytes: it decodes only the delta, copies each clean base
+object's encoded shell and body through the base's per-object byte
+index (:class:`_HeapIndex`), and takes the delta's non-heap bytes
+verbatim.  The result is byte-identical to decoding the base, applying
+the delta and re-encoding, and it embeds the digest the primary
+computed at delta capture time — so composition errors are caught
+exactly like torn transfers, by digest mismatch on restore.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReplicationError
@@ -76,7 +83,8 @@ Vid = Tuple[int, ...]
 #: Bump when the snapshot layout changes incompatibly.
 #: v2: monitor blocks carry the optional l_id; a native-seq table and
 #: the capture-time schedule epoch joined the non-heap sections.
-_STATE_VERSION = 2
+#: v3: the stable-environment image left the non-heap sections.
+_STATE_VERSION = 3
 
 #: Default chunk payload size.  Small enough that a transfer spans many
 #: flushes (so mid-transfer crash points exist), large enough that the
@@ -257,12 +265,29 @@ class Checkpoint:
     ``sched_epoch`` is the primary's count of shipped ScheduleRecords
     at capture time: after steady-state log truncation the retained
     tail's DigestRecords still carry absolute epochs, so a replaying
-    backup offsets its consumed-record count by this value."""
+    backup offsets its consumed-record count by this value.
+
+    ``index`` locates each heap object's bytes in ``payload``.  It is
+    recorded where the payload is written, or parsed on first use for
+    a checkpoint that arrived from the wire; it is not part of the
+    checkpoint's value."""
 
     generation: int
     digest: StateDigest
     payload: bytes
     sched_epoch: int = 0
+    index: Optional["_HeapIndex"] = field(default=None, init=False,
+                                          compare=False, repr=False)
+
+    def _indexed(self, index: "_HeapIndex") -> "Checkpoint":
+        object.__setattr__(self, "index", index)
+        return self
+
+    def heap_index(self) -> "_HeapIndex":
+        """The payload's per-object byte index, parsed once if absent."""
+        if self.index is None:
+            self._indexed(_index_payload(self.payload))
+        return self.index
 
     # ------------------------------------------------------------------
     def encode(self) -> bytes:
@@ -310,9 +335,10 @@ class Checkpoint:
         return len(self.payload)
 
     def state(self) -> "_SnapshotState":
-        """Decode the payload into its structured form (tests, env
-        priming).  Heap references resolve to freshly built shell
-        objects, not to any live JVM."""
+        """Decode the payload into its structured form (tests, and a
+        backup seeding its native-seq counters from its basis).  Heap
+        references resolve to freshly built shell objects, not to any
+        live JVM."""
         return _read_state(self.payload)
 
 
@@ -547,7 +573,7 @@ def _thread_dict(t: JavaThread) -> Dict[str, Any]:
     }
 
 
-def _capture_state(jvm: JVM, se_manager, env_snapshot: Dict[str, str],
+def _capture_state(jvm: JVM, se_manager,
                    native_seqs: Optional[Dict[Vid, int]],
                    include_heap: bool = True) -> "_SnapshotState":
     """Build the structured snapshot of a live JVM.
@@ -602,7 +628,6 @@ def _capture_state(jvm: JVM, se_manager, env_snapshot: Dict[str, str],
     s.main_vid = (jvm.main_thread.vid
                   if jvm.main_thread is not None else None)
     s.se_state = se_manager.snapshot()
-    s.env_snapshot = dict(env_snapshot)
     return s
 
 
@@ -736,16 +761,37 @@ def _write_nonheap(w: Writer, s: "_SnapshotState") -> None:
         w.text(vid_str).text(class_name).text(message)
     _write_opt_vid(w, s.main_vid)
 
-    # --- side-effect handler state / stable environment ----------------
+    # --- side-effect handler state --------------------------------------
     _write_value(w, s.se_state)
-    _write_value(w, dict(s.env_snapshot))
 
 
-def _encode_state(s: "_SnapshotState") -> bytes:
-    """Serialize a structured snapshot to the full-checkpoint payload.
+class _HeapIndex:
+    """Where each heap object's bytes sit in a full payload: offsets,
+    not copies.
 
-    The single encoder for both live captures and delta composition:
-    ``_read_state(_encode_state(s))`` round-trips."""
+    Object ``i`` (ascending oid ``oids[i]``) has its shell at
+    ``payload[shells[i]:shells[i + 1]]`` and its body (contents plus
+    monitor block) at ``payload[bodies[i]:bodies[i + 1]]``.  Shells and
+    bodies are each contiguous, so ``shells[n]`` is where the bodies
+    begin and ``bodies[n]`` where the non-heap sections begin."""
+
+    __slots__ = ("oids", "shells", "bodies")
+
+    def __init__(self) -> None:
+        self.oids = array("Q")
+        self.shells = array("Q")
+        self.bodies = array("Q")
+
+    def position(self, oid: int) -> int:
+        """Index of ``oid``, or -1 if the payload has no such object."""
+        p = bisect_left(self.oids, oid)
+        return p if p < len(self.oids) and self.oids[p] == oid else -1
+
+
+def _encode_state(s: "_SnapshotState") -> Tuple[bytes, _HeapIndex]:
+    """Serialize a structured snapshot to the full-checkpoint payload,
+    indexing each object's bytes as they are written:
+    ``_read_state(_encode_state(s)[0])`` round-trips."""
     w = Writer()
     w.uvarint(_STATE_VERSION)
     w.uvarint(s.instructions).uvarint(s.heavy_ops)
@@ -757,18 +803,23 @@ def _encode_state(s: "_SnapshotState") -> bytes:
     w.uvarint(s.next_oid).uvarint(s.total_allocations)
     w.uvarint(s.used_cells).uvarint(1 if s.gc_requested else 0)
     w.uvarint(len(objects))
+    index = _HeapIndex()
+    index.oids.extend(obj.oid for obj in objects)
     for obj in objects:
+        index.shells.append(w.pos)
         _write_object_shell(w, obj)
+    index.shells.append(w.pos)
     monitors_by_oid = {m[0]: m for m in s.monitors}
     for obj in objects:
+        index.bodies.append(w.pos)
         _write_object_body(w, obj, monitors_by_oid.get(obj.oid))
+    index.bodies.append(w.pos)
 
     _write_nonheap(w, s)
-    return w.bytes()
+    return w.bytes(), index
 
 
 def take_checkpoint(jvm: JVM, se_manager, *, generation: int,
-                    env_snapshot: Optional[Dict[str, str]] = None,
                     native_seqs: Optional[Dict[Vid, int]] = None,
                     sched_epoch: int = 0) -> Checkpoint:
     """Snapshot ``jvm`` (plus side-effect-handler state) as of now.
@@ -778,13 +829,14 @@ def take_checkpoint(jvm: JVM, se_manager, *, generation: int,
     from the same state the payload serializes, which is what lets the
     receiver verify the restore."""
     digest = compute_state_digest(jvm, include_env=False)
-    state = _capture_state(jvm, se_manager, env_snapshot or {}, native_seqs)
-    return Checkpoint(generation, digest, _encode_state(state), sched_epoch)
+    payload, index = _encode_state(
+        _capture_state(jvm, se_manager, native_seqs))
+    return Checkpoint(generation, digest, payload,
+                      sched_epoch)._indexed(index)
 
 
 def take_delta_checkpoint(jvm: JVM, se_manager, *, generation: int,
                           seq: int, base_seq: int, sched_epoch: int = 0,
-                          env_snapshot: Optional[Dict[str, str]] = None,
                           native_seqs: Optional[Dict[Vid, int]] = None
                           ) -> DeltaCheckpoint:
     """Capture the state changed since the heap's last ``advance_era()``.
@@ -818,8 +870,7 @@ def take_delta_checkpoint(jvm: JVM, se_manager, *, generation: int,
                  else None)
         _write_object_body(w, obj, block)
 
-    s = _capture_state(jvm, se_manager, env_snapshot or {}, native_seqs,
-                       include_heap=False)
+    s = _capture_state(jvm, se_manager, native_seqs, include_heap=False)
     _write_nonheap(w, s)
     return DeltaCheckpoint(generation, seq, base_seq, sched_epoch,
                            digest, w.bytes())
@@ -828,95 +879,180 @@ def take_delta_checkpoint(jvm: JVM, se_manager, *, generation: int,
 def compose_delta(base: Checkpoint, delta: DeltaCheckpoint) -> Checkpoint:
     """Merge a delta onto a full checkpoint, yielding a full checkpoint.
 
-    Pure state-level surgery — no JVM involved, so any replica (or the
+    Pure byte-level surgery — no JVM involved, so any replica (or the
     conform harness) can maintain a recovery basis from the checkpoint
-    stream.  Correctness is *checked*, not assumed: the result embeds
-    the digest the primary computed over its complete state at delta
-    capture, and restore refuses the snapshot on any mismatch."""
+    stream.  Only the delta is decoded; every clean base object is
+    copied as its encoded shell and body, located through the base's
+    :class:`_HeapIndex`, and the delta's non-heap bytes are taken
+    verbatim.  The output is the payload that decoding the base,
+    applying the delta and re-encoding would produce.  Every check of
+    that decode still runs, and the base is never modified.
+    Correctness is *checked*, not assumed: the result embeds the digest
+    the primary computed over its complete state at delta capture, and
+    restore refuses the snapshot on any mismatch."""
     if delta.generation != base.generation:
         raise ReplicationError(
             f"delta generation {delta.generation} does not match base "
             f"checkpoint generation {base.generation}"
         )
-    s = _read_state(base.payload)
+    index = base.heap_index()
+    in_base = index.position
+    src = memoryview(base.payload)
+    oids, shells, bodies = index.oids, index.shells, index.bodies
+    n_base = len(oids)
+
+    data = memoryview(delta.payload)
     r = Reader(delta.payload)
-    version = r.uvarint()
-    if version != _STATE_VERSION:
-        raise ReplicationError(
-            f"delta state version {version} is not supported "
-            f"(expected {_STATE_VERSION})"
-        )
-    s.instructions = r.uvarint()
-    s.heavy_ops = r.uvarint()
-    s.native_calls = r.uvarint()
-    s.time_skew_ms = r.f64()
-    s.next_oid = r.uvarint()
-    s.total_allocations = r.uvarint()
-    s.used_cells = r.uvarint()
-    s.gc_requested = bool(r.uvarint())
-
+    _read_header(r, "delta")
+    header = data[:r.pos]
     freed = {r.uvarint() for _ in range(r.uvarint())}
-    for oid in freed:
-        s.by_oid.pop(oid, None)
 
-    # Dirty shells: update in place where the oid exists (clean objects'
-    # references to it stay valid), create otherwise.
-    dirty_objs: List[Any] = []
-    dirty_oids = set()
+    # Dirty shells.  A surviving base object keeps its base shell (its
+    # oid cannot change type); any other dirty oid is a new object.
+    kind_of: Dict[int, int] = {}
+    shell_of: Dict[int, Any] = {}
     for _ in range(r.uvarint()):
         kind = r.uvarint()
         oid = r.uvarint()
         type_name = r.text()
-        existing = s.by_oid.get(oid)
-        if existing is not None:
-            if (1 if isinstance(existing, JArray) else 0) != kind:
-                raise ReplicationError(
-                    f"delta re-types oid {oid} — oids are never reused, "
-                    f"refusing composition"
-                )
-            obj = existing
-        elif kind == 1:
-            obj = JArray(type_name, [], oid)
-            s.by_oid[oid] = obj
-        else:
-            obj = JObject(type_name, {}, oid)
-            s.by_oid[oid] = obj
-        dirty_objs.append(obj)
-        dirty_oids.add(oid)
-
-    def resolve(oid: int) -> Any:
-        try:
-            return s.by_oid[oid]
-        except KeyError:
+        if oid in kind_of:
+            raise ReplicationError(f"delta lists oid {oid} twice")
+        kind_of[oid] = kind
+        p = -1 if oid in freed else in_base(oid)
+        if p < 0:
+            shell_of[oid] = Writer().uvarint(1 if kind == 1 else 0) \
+                .uvarint(oid).text(type_name).bytes()
+        elif src[shells[p]] != kind:
             raise ReplicationError(
-                f"delta references unknown oid {oid}"
-            ) from None
+                f"delta re-types oid {oid} — oids are never reused, "
+                f"refusing composition"
+            )
+        else:
+            shell_of[oid] = src[shells[p]:shells[p + 1]]
 
-    delta_monitors: List[Tuple] = []
-    for obj in dirty_objs:
-        if isinstance(obj, JObject):
-            obj.fields.clear()
-        _read_object_body(r, obj, resolve, delta_monitors)
+    def resolve(oid: int) -> None:
+        if oid not in kind_of and (oid in freed or in_base(oid) < 0):
+            raise ReplicationError(f"delta references unknown oid {oid}")
 
-    # Monitor blocks: the sync layer dirties an object on every monitor
-    # transition, so the delta's blocks fully cover changed monitors;
-    # base blocks survive only for untouched, unfreed objects.
-    s.monitors = [
-        m for m in s.monitors
-        if m[0] not in dirty_oids and m[0] not in freed
-    ] + delta_monitors
-
-    # The live heap list is ascending-oid (allocation appends, GC keeps
-    # relative order), so rebuilding sorted reproduces it exactly.
-    s.objects = sorted(s.by_oid.values(), key=lambda obj: obj.oid)
+    # Dirty bodies, each read once to check it, then spliced as bytes.
+    body_of: Dict[int, Any] = {}
+    for oid, kind in kind_of.items():
+        start = r.pos
+        _skip_object_body(r, kind, resolve)
+        body_of[oid] = data[start:r.pos]
 
     # Non-heap sections replace the base's wholesale.
-    _read_nonheap(r, s, resolve)
+    nonheap = r.pos
+    _read_nonheap(r, _SnapshotState(), resolve)
     if not r.exhausted:
         raise ReplicationError("trailing bytes after delta state")
 
-    return Checkpoint(delta.generation, delta.digest, _encode_state(s),
-                      delta.sched_epoch)
+    # Plan the heap in ascending oid: runs ``(start, end)`` of clean
+    # base objects, and ``(-1, oid)`` for each dirty object between
+    # them.  Freed objects drop out.
+    out = _HeapIndex()
+    plan: List[Tuple[int, int]] = []
+    cursor = 0
+    for oid in sorted(freed.union(kind_of)):
+        p = bisect_left(oids, oid, cursor)
+        if p > cursor:
+            plan.append((cursor, p))
+            out.oids.extend(oids[cursor:p])
+        cursor = p + 1 if p < n_base and oids[p] == oid else p
+        if oid in kind_of:
+            plan.append((-1, oid))
+            out.oids.append(oid)
+    if cursor < n_base:
+        plan.append((cursor, n_base))
+        out.oids.extend(oids[cursor:])
+
+    w = Writer().raw(header).uvarint(len(out.oids))
+
+    def splice(at: array, offsets: array, dirty_bytes: Dict[int, Any]
+               ) -> None:
+        for a, b in plan:
+            if a < 0:
+                at.append(w.pos)
+                w.raw(dirty_bytes[b])
+            else:
+                shift = w.pos - offsets[a]
+                at.extend([x + shift for x in offsets[a:b]])
+                w.raw(src[offsets[a]:offsets[b]])
+        at.append(w.pos)
+
+    splice(out.shells, shells, shell_of)
+    splice(out.bodies, bodies, body_of)
+    w.raw(data[nonheap:])
+    return Checkpoint(delta.generation, delta.digest, w.bytes(),
+                      delta.sched_epoch)._indexed(out)
+
+
+def _check_version(version: int, what: str) -> None:
+    if version != _STATE_VERSION:
+        raise ReplicationError(
+            f"{what} state version {version} is not supported "
+            f"(expected {_STATE_VERSION})"
+        )
+
+
+def _read_header(r: Reader, what: str) -> None:
+    """Read past the version and the machine and heap counters, which
+    open full and delta payloads alike."""
+    _check_version(r.uvarint(), what)
+    for _ in range(3):
+        r.uvarint()
+    r.f64()
+    for _ in range(4):
+        r.uvarint()
+
+
+def _skip_object_body(r: Reader, kind: int,
+                      resolve: Callable[[int], Any]) -> None:
+    """Read past one encoded body, resolving every reference in it."""
+    shell: Any = JArray("", [], 0) if kind == 1 else JObject("", {}, 0)
+    _read_object_body(r, shell, resolve, [])
+
+
+def _index_payload(payload: bytes) -> _HeapIndex:
+    """Index a full payload that arrived without one, checking it as
+    :func:`_read_state` would: version, oids ascending and of a known
+    kind, every reference resolvable, no trailing bytes."""
+    r = Reader(payload)
+    _read_header(r, "checkpoint")
+    index = _HeapIndex()
+    oids = index.oids
+    kinds = bytearray()
+    for _ in range(r.uvarint()):
+        index.shells.append(r.pos)
+        kind = r.uvarint()
+        oid = r.uvarint()
+        r.text()
+        if kind > 1:
+            raise ReplicationError(f"checkpoint object kind {kind} for "
+                                   f"oid {oid} is not supported")
+        if oids and oid <= oids[-1]:
+            raise ReplicationError(
+                f"checkpoint heap is not in ascending oid order at "
+                f"oid {oid}"
+            )
+        oids.append(oid)
+        kinds.append(kind)
+    index.shells.append(r.pos)
+
+    def resolve(oid: int) -> None:
+        if index.position(oid) < 0:
+            raise ReplicationError(
+                f"checkpoint references unknown oid {oid}"
+            )
+
+    for kind in kinds:
+        index.bodies.append(r.pos)
+        _skip_object_body(r, kind, resolve)
+    index.bodies.append(r.pos)
+    _read_nonheap(r, _SnapshotState(), resolve)
+    if not r.exhausted:
+        raise ReplicationError("trailing bytes after checkpoint state")
+    return index
 
 
 # ======================================================================
@@ -960,7 +1096,6 @@ class _SnapshotState:
         self.uncaught: List[Tuple[str, str, str]] = []
         self.main_vid: Optional[Vid] = None
         self.se_state: Dict[str, Dict[str, Any]] = {}
-        self.env_snapshot: Dict[str, str] = {}
 
 
 def _read_object_body(r: Reader, obj: Any, resolve: Callable[[int], Any],
@@ -988,12 +1123,7 @@ def _read_object_body(r: Reader, obj: Any, resolve: Callable[[int], Any],
 
 def _read_state(payload: bytes) -> _SnapshotState:
     r = Reader(payload)
-    version = r.uvarint()
-    if version != _STATE_VERSION:
-        raise ReplicationError(
-            f"checkpoint state version {version} is not supported "
-            f"(expected {_STATE_VERSION})"
-        )
+    _check_version(r.uvarint(), "checkpoint")
     s = _SnapshotState()
     s.instructions = r.uvarint()
     s.heavy_ops = r.uvarint()
@@ -1117,7 +1247,6 @@ def _read_nonheap(r: Reader, s: _SnapshotState,
         s.uncaught.append((r.text(), r.text(), r.text()))
     s.main_vid = _read_opt_vid(r)
     s.se_state = _read_value(r, _no_refs)
-    s.env_snapshot = _read_value(r, _no_refs)
 
 
 # ======================================================================

@@ -765,10 +765,7 @@ class ReplicaSet:
         # numbering at 1, and its replayers must count the same way.
         chunks: Optional[List[CheckpointChunkRecord]] = None
         if self.reintegrates:
-            checkpoint = take_checkpoint(
-                jvm, se_manager, generation=number,
-                env_snapshot=self.env.snapshot_stable(),
-            )
+            checkpoint = take_checkpoint(jvm, se_manager, generation=number)
             if self.checkpoint_interval is not None:
                 # Open the dirty window at the capture point: everything
                 # mutated from here on belongs to the first steady delta.
@@ -807,7 +804,6 @@ class ReplicaSet:
                 generation=number,
                 chunk_bytes=self.chunk_bytes,
                 basis=self._ckpt,
-                env_snapshot=self.env.snapshot_stable,
                 verify_restore=(self._verify_restore
                                 if self.config.verify_checkpoints
                                 else None),

@@ -25,9 +25,14 @@ with heap size:
    checkpoint commit (flush + ack) exactly like an output commit;
 3. the receive side reassembles the chunks *from the wire*, composes
    the delta onto its retained basis (:func:`compose_delta` — pure
-   state surgery, no JVM), optionally verifies the composed snapshot
-   by restoring it into a scratch machine and re-deriving the digest,
-   and only then truncates the delivered log to empty;
+   byte surgery, no JVM: it decodes only the delta and copies each
+   clean basis object's encoded bytes, so its cost follows the delta,
+   not the basis), optionally verifies the composed snapshot by
+   restoring it into a scratch machine and re-deriving the digest,
+   and only then truncates the delivered log to empty.  Neither the
+   delta nor the basis carries the stable environment, which outlives
+   the primary on its own, so a basis stays the size of the replica
+   state however many requests the shard has answered;
 4. the heap era advances, opening the next dirty window.
 
 A crash anywhere inside an emission is safe: chunk logging and the
@@ -41,7 +46,7 @@ interval, not by run length.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.errors import ReplicationError
 from repro.replication.checkpoint import (
@@ -106,7 +111,6 @@ class SteadyCheckpointer:
                  generation: int = 0,
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES,
                  basis: Optional[Checkpoint] = None,
-                 env_snapshot: Optional[Callable[[], Dict[str, str]]] = None,
                  verify_restore: Optional[Callable[[Checkpoint], None]] = None,
                  on_adopt: Optional[Callable] = None) -> None:
         if interval is None or interval < 1:
@@ -127,7 +131,6 @@ class SteadyCheckpointer:
         #: Stream position: seq of the current basis (-1 = none yet).
         #: The replica group's arm-time full checkpoint is seq 0.
         self.seq = -1 if basis is None else 0
-        self._env_snapshot = env_snapshot or (lambda: {})
         self._verify_restore = verify_restore
         self._on_adopt = on_adopt
         self._slices = 0
@@ -191,7 +194,6 @@ class SteadyCheckpointer:
         if self.basis is None:
             full = take_checkpoint(
                 jvm, self._se_manager, generation=self.generation,
-                env_snapshot=self._env_snapshot(),
                 native_seqs=native_seqs, sched_epoch=sched_epoch,
             )
             chunks = full.to_chunks(self.chunk_bytes)
@@ -204,7 +206,6 @@ class SteadyCheckpointer:
                 jvm, self._se_manager, generation=self.generation,
                 seq=self.seq + 1, base_seq=self.seq,
                 sched_epoch=sched_epoch,
-                env_snapshot=self._env_snapshot(),
                 native_seqs=native_seqs,
             )
             chunks = delta.to_chunks(self.chunk_bytes)

@@ -1137,7 +1137,6 @@ class VotingGroup(ReplicaSet):
         ep = self._active
         checkpoint = take_checkpoint(
             jvm, ep.se_manager, generation=self._epoch,
-            env_snapshot=self.env.snapshot_stable(),
             native_seqs=ep.policy.native_seqs(),
             sched_epoch=ep.emitter.epoch,
         )
@@ -1261,10 +1260,8 @@ class VotingGroup(ReplicaSet):
         self._settle_ballots()
 
         ep = self._active
-        checkpoint = take_checkpoint(
-            ep.jvm, ep.se_manager, generation=self._epoch,
-            env_snapshot=self.env.snapshot_stable(),
-        )
+        checkpoint = take_checkpoint(ep.jvm, ep.se_manager,
+                                     generation=self._epoch)
         ep.report.outcome = "demoted"
         self._finish_metrics(ep.jvm, ep.metrics, ep.transport)
         ep.jvm.session.destroy()

@@ -65,6 +65,11 @@ class Writer:
         self._buf += data
         return self
 
+    @property
+    def pos(self) -> int:
+        """Bytes written so far."""
+        return len(self._buf)
+
     def vid(self, vid: Tuple[int, ...]) -> "Writer":
         self.uvarint(len(vid))
         for part in vid:
@@ -172,6 +177,11 @@ class Reader:
         if tag == 0x04:
             return [self.value() for _ in range(self.uvarint())]
         raise ReplicationError(f"unknown value tag {tag:#x}")
+
+    @property
+    def pos(self) -> int:
+        """Offset of the next unread byte."""
+        return self._pos
 
     @property
     def exhausted(self) -> bool:

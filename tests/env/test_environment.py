@@ -1,5 +1,8 @@
 """Environment sessions: volatile vs stable state, crash semantics."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.env.console import Console
@@ -100,6 +103,21 @@ def test_snapshot_stable():
     env.console.write("out")
     snap = env.snapshot_stable()
     assert snap == {"file:a": "A", "console": "out"}
+
+
+def test_destroyed_dropped_session_is_freed():
+    # The environment keeps no list of the sessions it opened: a
+    # replica that attaches one per verification must not leak them.
+    env = Environment()
+    session = env.attach("ckpt-verify-1")
+    session.destroy()
+    ref = weakref.ref(session)
+    gc.disable()
+    try:
+        del session
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_destroyed_session_blocks_everything():

@@ -23,7 +23,13 @@ from repro.env.channel import Channel
 from repro.env.environment import Environment
 from repro.fleet.fleet import Fleet
 from repro.fleet.traffic import TrafficSpec, generate
-from repro.replication.checkpoint import _read_value, _write_value
+from repro.errors import ReplicationError
+from repro.replication.checkpoint import (
+    Checkpoint,
+    _read_value,
+    _write_value,
+    restore_checkpoint,
+)
 from repro.replication.commit import LogShipper
 from repro.replication.config import ReplicationConfig
 from repro.replication.digest import (
@@ -42,8 +48,9 @@ from repro.replication.records import (
 )
 from repro.replication.supervisor import ReplicaGroup
 from repro.replication.wire import Reader, Writer
+from repro.runtime.stdlib import default_natives
 from repro.runtime.values import JArray, JObject
-from repro.workloads import DB
+from repro.workloads import DB, DB_SERVER
 
 from tests.replication.wire_spec import (
     spec_checkpoint_value, spec_leb128, spec_zigzag,
@@ -58,7 +65,7 @@ def _sha(data: bytes) -> str:
 # A steady checkpoint basis and its digest
 # ----------------------------------------------------------------------
 BASIS_PAYLOAD_SHA = (
-    "1b8b2b48d077d3ad8e2df46e00485baa915303ff7d1937207926686b1d6f6347"
+    "cc632e65072b1db75988a7c95aff1f388f9c4c127baf0d1e62d0ed70409dd13b"
 )
 BASIS_DIGEST = {
     "heap": "2e8bd70d080c2d3f021cf2980f17b7f8",
@@ -89,9 +96,29 @@ def test_steady_basis_payload_and_digest_are_pinned():
     fleet.stop()
     assert group.reports[-1].steady_checkpoints == 25
     basis = group._ckpt
-    assert len(basis.payload) == 6618
+    assert len(basis.payload) == 1406
     assert _sha(basis.payload) == BASIS_PAYLOAD_SHA
     assert basis.digest.hex() == BASIS_DIGEST
+
+
+def test_version_2_payload_is_refused_by_name():
+    # Version 2 ended with an image of the stable environment; version
+    # 3 dropped it.  An old payload must be refused, never misread.
+    fleet = Fleet(1, config=ReplicationConfig(checkpoint_interval=32))
+    fleet.start()
+    fleet.stop()
+    basis = fleet.groups[0]._ckpt
+    old = Checkpoint(basis.generation, basis.digest,
+                     b"\x02" + basis.payload[1:])
+    refused = "checkpoint state version 2 is not supported \\(expected 3\\)"
+    with pytest.raises(ReplicationError, match=refused):
+        old.state()
+    with pytest.raises(ReplicationError, match=refused):
+        old.heap_index()
+    env = Environment()
+    with pytest.raises(ReplicationError, match=refused):
+        restore_checkpoint(old, DB_SERVER.compile("test"), default_natives(),
+                           env.attach("v2"))
 
 
 # ----------------------------------------------------------------------

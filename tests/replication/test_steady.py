@@ -19,6 +19,8 @@ import pytest
 
 from repro.env.environment import Environment
 from repro.errors import ReplicationError
+from repro.fleet.fleet import Fleet
+from repro.fleet.traffic import TrafficSpec, generate
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
@@ -282,3 +284,29 @@ def test_group_steady_serving_survives_a_crash(echo_registry):
         group.serve(f"r{i:03d} get {i}")
     result = group.stop_serving("stop")
     assert result.outcome == "completed"
+
+
+def test_steady_basis_does_not_grow_with_requests_served():
+    """A shard whose heap stays the same size keeps a basis of the same
+    size: the checkpoint carries replica state, not the outside world's
+    responses (a basis that copied them grew from 6.6 KB after 200
+    requests to 38 KB after 1,400)."""
+    fleet = Fleet(1, config=ReplicationConfig(checkpoint_interval=32))
+    group = fleet.groups[0]
+    fleet.start()
+    sizes = {}
+    for served, request in enumerate(
+            generate(TrafficSpec(n_requests=1400, seed=5)), start=1):
+        fleet.submit(request.text)
+        group.pump()
+        if served in (200, 1400):
+            sizes[served] = len(group._ckpt.payload)
+    fleet.stop()
+    assert group.reports[-1].steady_checkpoints > 100
+    assert abs(sizes[1400] - sizes[200]) <= 32, sizes
+    payload = group._ckpt.payload
+    assert b"response:" not in payload
+    # At most the request still held by the server's heap is in it.
+    rids = [rid for rid, _ in group.env.responses.items()]
+    assert len(rids) == 1400
+    assert sum(rid.encode() in payload for rid in rids) <= 1
