@@ -625,7 +625,10 @@ class _Follower(Replayer):
         slot.incarnation += 1
         slot.role = "follower"
         self.slot = slot
-        self.voted_outputs: set = set()
+        #: The seq of the output each thread last balloted on.  A
+        #: thread holds at one output at a time and its seqs only grow,
+        #: so this is all the dedup a repeated hold needs.
+        self.voted_seqs: Dict[Vid, int] = {}
         super().__init__(
             group, group._member_identity(slot), role="follower",
             hold=True, basis=checkpoint, fence_epoch=group._epoch,
@@ -873,10 +876,10 @@ class VotingGroup(ReplicaSet):
 
     def _on_output_hold(self, follower: _Follower, jvm, spec, method,
                         thread, intent) -> None:
-        index = tuple(thread.vid) + (intent.seq,)
-        if index in follower.voted_outputs:
+        if follower.voted_seqs.get(thread.vid) == intent.seq:
             return
-        follower.voted_outputs.add(index)
+        follower.voted_seqs[thread.vid] = intent.seq
+        index = tuple(thread.vid) + (intent.seq,)
         # The replaying thread stands right before the invoke: receiver
         # and arguments are still on the operand stack, exactly the
         # payload this replica independently computed.
