@@ -316,6 +316,9 @@ class Replayer:
         self.fed = fed
         #: The program's result once the replay ran to completion.
         self.result: Optional[RunResult] = None
+        #: True while a hold-mode run sits paused at the end of the
+        #: delivered log; only new log (or :meth:`release`) can move it.
+        self.paused = False
 
         raw = raw or []
         if self.fence is not None:
@@ -369,9 +372,15 @@ class Replayer:
     # ------------------------------------------------------------------
     def pump(self, delivered: List[bytes]) -> bool:
         """Feed whatever of ``delivered`` is new and replay until the
-        log runs dry again.  Returns True when new records arrived."""
+        log runs dry again.  Returns True when new records arrived.
+
+        A paused hold-mode replica waits on nothing but the log, so a
+        pump that delivers nothing new returns without running it.  A
+        fresh replica is not paused: its first pump always runs."""
         new_raw = delivered[self.fed:]
         self.fed = len(delivered)
+        if not new_raw and self.paused:
+            return False
         if new_raw:
             if self.fence is not None:
                 new_raw = self.fence.filter_raw(new_raw)
@@ -387,6 +396,7 @@ class Replayer:
             self.result = self.jvm.run_to_completion(
                 pause_on_starvation=True
             )
+            self.paused = self.result is None
         return bool(new_raw)
 
     def gate_tail(self) -> None:
@@ -424,6 +434,7 @@ class Replayer:
 
     def release(self) -> None:
         """Leave hold mode: from here the replica executes live."""
+        self.paused = False
         self.policy.hold_when_drained = False
         self.driver.set_hold(False)
         self._unstarve()

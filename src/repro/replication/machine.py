@@ -242,9 +242,8 @@ class ReplicatedJVM(ReplicaSet):
     def _release_hot_backup(self) -> None:
         """Feed the hot backup the last of the log and lift its hold;
         the caller drives it to completion.  (After a crash the feed
-        finds nothing new, but its paused re-run retries the starved
-        instruction and so shows in the backup's instruction count —
-        the number the hot-versus-cold comparison reports.)"""
+        finds nothing new, so the paused backup does not run again
+        before its release.)"""
         backup = self._backup
         backup.pump(self.channel.delivered)
         if backup.result is None:
