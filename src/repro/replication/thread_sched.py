@@ -130,11 +130,13 @@ class BackupSchedController(ScheduleController):
             return _REPLAY_QUANTUM
         return self._fallback.quantum(thread)
 
-    def _live_app_threads(self) -> int:
-        return sum(
-            1 for t in self.jvm.scheduler.threads
-            if t.alive and not t.is_system
-        )
+    def _several_live_app_threads(self, scheduler: Scheduler) -> bool:
+        """Are two or more application threads alive?  A scheduler
+        holding fewer than two threads answers without the walk."""
+        threads = scheduler.threads
+        return len(threads) > 1 and sum(
+            1 for t in threads if t.alive and not t.is_system
+        ) > 1
 
     def should_preempt(self, thread: JavaThread) -> bool:
         if not self._records:
@@ -144,7 +146,7 @@ class BackupSchedController(ScheduleController):
             if (
                 self.hold_when_drained
                 and self.jvm is not None
-                and self._live_app_threads() > 1
+                and self._several_live_app_threads(self.jvm.scheduler)
             ):
                 # ... except the uncertain-tail thread, which must
                 # reach its native; preempt it the moment the tail is
@@ -200,9 +202,7 @@ class BackupSchedController(ScheduleController):
 
     def pick_next(self, scheduler: Scheduler) -> Optional[JavaThread]:
         if not self._records and self.hold_when_drained:
-            live = [t for t in scheduler.threads
-                    if t.alive and not t.is_system]
-            if len(live) > 1:
+            if self._several_live_app_threads(scheduler):
                 # With no schedule records at all (checkpoint-restored
                 # replay of a log that held none), the resume thread set
                 # via set_resume_vid is the one the tail gate applies to.

@@ -187,3 +187,46 @@ def test_backup_live_mode_delegates_to_fallback():
     sched.runnable.append(main)
     assert ctrl.pick_next(sched) is main
     assert ctrl.quantum(main) == 50  # fallback quantum, not replay
+
+
+def _census_threads(case):
+    main = _runnable((0,))
+    if case == "one thread":
+        return [main]
+    if case == "two live threads":
+        return [main, _runnable((0, 0))]
+    if case == "terminated child":
+        child = JavaThread((0, 0), None)
+        child.state = ThreadState.TERMINATED
+        return [main, child]
+    assert case == "system thread"
+    system = JavaThread((-1,), None, is_system=True)
+    system.state = ThreadState.RUNNABLE
+    return [main, system]
+
+
+@pytest.mark.parametrize("case, several", [
+    ("one thread", False),
+    ("two live threads", True),
+    ("terminated child", False),
+    ("system thread", False),
+])
+def test_drained_hold_census_matches_full_walk(case, several):
+    """The drained-hold check that stops a replay before it guesses an
+    interleaving answers exactly what counting every live application
+    thread answers — too early diverges, too late never stops."""
+    from repro.runtime.scheduler import Scheduler
+
+    threads = _census_threads(case)
+    sched = Scheduler(lambda: 0.0)
+    for t in threads:
+        sched.register(t)
+    full_walk = sum(1 for t in sched.threads
+                    if t.alive and not t.is_system) > 1
+    ctrl = _controller([])
+    ctrl.hold_when_drained = True
+    ctrl.jvm = _FakeJvm(threads)
+    ctrl.jvm.scheduler = sched
+    assert full_walk is several
+    assert ctrl._several_live_app_threads(sched) is several
+    assert ctrl.should_preempt(threads[0]) is several
