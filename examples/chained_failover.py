@@ -21,7 +21,7 @@ Run:  python examples/chained_failover.py
 from repro import (Environment, FAULT_PROFILES, FaultyTransport,
                    ReplicationConfig, compile_program)
 from repro.replication import ReplicaGroup, run_unreplicated
-from repro.replication.digest import compute_state_digest
+from repro.runtime.digest import compute_state_digest
 
 SOURCE = """
 class Main {

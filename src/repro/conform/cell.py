@@ -36,11 +36,11 @@ from repro.env.environment import Environment
 from repro.errors import DivergenceError, ReproError
 from repro.replication.config import ReplicationConfig
 from repro.replication.core import ReplicaSet
-from repro.replication.digest import StateDigest, compute_state_digest
 from repro.replication.machine import ReplicatedJVM, run_unreplicated
 from repro.replication.supervisor import ReplicaGroup
 from repro.replication.transport import FAULT_PROFILES, FaultyTransport
 from repro.replication.voting import VotingGroup
+from repro.runtime.digest import StateDigest, compute_state_digest
 
 #: Extra records the bounded-replay check tolerates beyond the crashed
 #: primary's retained high-water mark: the gauge samples once per

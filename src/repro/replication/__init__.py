@@ -25,9 +25,9 @@ from repro.replication.supervisor import (
     default_generation_settings,
 )
 from repro.replication.digest import (
-    StateDigest, DigestRecord, DigestEmitter, DigestVerifier,
-    compute_state_digest, KIND_DIGEST,
+    DigestRecord, DigestEmitter, DigestVerifier, KIND_DIGEST,
 )
+from repro.runtime.digest import StateDigest, compute_state_digest
 from repro.replication.failure import FailureDetector
 from repro.replication.strategy import (
     CoordinationStrategy, PrimaryDriver, BackupDriver,

@@ -18,7 +18,7 @@ records and shipped as a sequence of
 channel*, so chunk transfer inherits the channel's flush/ack protocol
 and the crash injector's event counter (a transfer can be killed
 mid-flight and must be restartable).  The assembled checkpoint embeds
-the sender's :class:`~repro.replication.digest.StateDigest`; the
+the sender's :class:`~repro.runtime.digest.StateDigest`; the
 receiver re-derives the digest from the *restored* JVM and refuses a
 snapshot whose digest does not match — a corrupted or torn transfer is
 detected, never silently adopted.
@@ -64,13 +64,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReplicationError
-from repro.replication.digest import StateDigest, compute_state_digest
 from repro.replication.records import (
     KIND_CHECKPOINT_CHUNK,
     KIND_CHECKPOINT_DELTA,
     register_record_kind,
 )
 from repro.replication.wire import Reader, Writer
+from repro.runtime.digest import StateDigest, compute_state_digest
 from repro.runtime.frames import Frame
 from repro.runtime.jvm import JVM
 from repro.runtime.monitors import get_monitor

@@ -82,12 +82,9 @@ from repro.replication.core import (
     register_log_record,
 )
 from repro.replication.digest import (
-    LOCKSTEP_COMPONENTS,
     DigestEmitter,
     DigestRecord,
     DigestVerifier,
-    _h,
-    compute_state_digest,
 )
 from repro.replication.failure import FailureDetector
 from repro.replication.metrics import ReplicationMetrics
@@ -103,6 +100,7 @@ from repro.replication.supervisor import (
     default_generation_settings,
 )
 from repro.replication.wire import Reader, Writer
+from repro.runtime.digest import LOCKSTEP_COMPONENTS, _h, compute_state_digest
 from repro.runtime.jvm import JVM, RunResult
 from repro.runtime.scheduler import SliceEnd
 from repro.runtime.threads import ThreadState

@@ -18,7 +18,6 @@ non-replicated behaviour:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -32,6 +31,7 @@ from repro.errors import (
     RestrictionViolation,
 )
 from repro.env.environment import EnvSession
+from repro.runtime.digest import compute_state_digest
 from repro.runtime.frames import Frame
 from repro.runtime.gc import Collector
 from repro.runtime.heap import Heap
@@ -538,54 +538,12 @@ class JVM:
     # State digest (test oracle)
     # ==================================================================
     def state_digest(self) -> str:
-        """Canonical hash of all application-visible JVM state.
-
-        Covers statics and everything reachable from them, visited in a
-        deterministic order.  Two replicas that executed equivalent
-        histories produce equal digests.
+        """Fingerprint of the state walk (:mod:`repro.runtime.digest`):
+        heap, frames, monitors and scheduler state, without the
+        environment.  Two replicas that executed equivalent histories
+        produce equal digests.
         """
-        h = hashlib.sha256()
-        visit_ids: Dict[int, int] = {}
-
-        def ref_token(value: Any) -> str:
-            key = id(value)
-            if key not in visit_ids:
-                visit_ids[key] = len(visit_ids)
-                pending.append(value)
-            return f"@{visit_ids[key]}"
-
-        def scalar_token(value: Any) -> str:
-            if value is None:
-                return "null"
-            if isinstance(value, (JObject, JArray)):
-                return ref_token(value)
-            if isinstance(value, float):
-                return f"f{value!r}"
-            if isinstance(value, str):
-                return f"s{value!r}"
-            return f"i{value}"
-
-        pending: List[Any] = []
-        for (class_name, field_name) in sorted(self.statics):
-            token = scalar_token(self.statics[(class_name, field_name)])
-            h.update(f"{class_name}.{field_name}={token};".encode())
-        cursor = 0
-        while cursor < len(pending):
-            obj = pending[cursor]
-            cursor += 1
-            if isinstance(obj, JArray):
-                h.update(f"[{obj.elem_type}:".encode())
-                for element in obj.data:
-                    h.update(scalar_token(element).encode())
-                    h.update(b",")
-            else:
-                h.update(f"{{{obj.class_name}:".encode())
-                for name in sorted(obj.fields):
-                    h.update(f"{name}={scalar_token(obj.fields[name])},".encode())
-            h.update(b";")
-        for vid_str, class_name, message in self.uncaught:
-            h.update(f"uncaught:{vid_str}:{class_name}:{message};".encode())
-        return h.hexdigest()
+        return f"{compute_state_digest(self).fingerprint():032x}"
 
     # ==================================================================
     # Intrinsics

@@ -26,7 +26,7 @@ from repro.replication.checkpoint import (
     take_checkpoint,
     take_delta_checkpoint,
 )
-from repro.replication.digest import StateDigest, compute_state_digest
+from repro.runtime.digest import StateDigest, compute_state_digest
 from repro.replication.records import decode_record, encode
 from repro.replication.sehandlers import SideEffectManager
 from repro.runtime.jvm import JVM, RunHooks

@@ -32,11 +32,7 @@ from repro.replication.checkpoint import (
 )
 from repro.replication.commit import LogShipper
 from repro.replication.config import ReplicationConfig
-from repro.replication.digest import (
-    IncrementalStateDigest,
-    _scalar_token,
-    compute_state_digest,
-)
+from repro.replication.digest import IncrementalStateDigest
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.metrics import ReplicationMetrics
 from repro.replication.records import (
@@ -48,6 +44,7 @@ from repro.replication.records import (
 )
 from repro.replication.supervisor import ReplicaGroup
 from repro.replication.wire import Reader, Writer
+from repro.runtime.digest import _scalar_token, compute_state_digest
 from repro.runtime.stdlib import default_natives
 from repro.runtime.values import JArray, JObject
 from repro.workloads import DB, DB_SERVER

@@ -9,15 +9,13 @@ from repro.errors import DivergenceError, ReplicationError
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
 from repro.replication.digest import (
-    COMPONENTS,
     DigestRecord,
     DigestVerifier,
     IncrementalStateDigest,
-    StateDigest,
-    compute_state_digest,
 )
 from repro.replication.machine import ReplicatedJVM, parse_log
 from repro.replication.records import decode_record, encode
+from repro.runtime.digest import COMPONENTS, StateDigest, compute_state_digest
 from repro.runtime.jvm import RunHooks
 from repro.runtime.values import JObject
 
@@ -311,7 +309,7 @@ def test_corrupted_replay_raises_divergence_error():
     assert f"epoch {err.epoch}" in str(err)
 
 
-def test_verifier_reports_first_divergent_epoch_in_order():
+def test_verifier_reports_first_divergent_epoch_in_order(monkeypatch):
     base = (("heap", 1), ("frames", 2), ("monitors", 3), ("sched", 4))
     bad = (("heap", 99), ("frames", 2), ("monitors", 3), ("sched", 4))
 
@@ -323,16 +321,11 @@ def test_verifier_reports_first_divergent_epoch_in_order():
     verifier = DigestVerifier(records, None,
                               epoch_source=lambda: epochs["n"])
 
-    import repro.replication.digest as digest_mod
-    original = digest_mod.compute_state_digest
-    digest_mod.compute_state_digest = \
-        lambda jvm, env, include_env=True: StateDigest(base)
-    try:
-        epochs["n"] = 2
-        with pytest.raises(DivergenceError) as excinfo:
-            verifier.check_slice(_FrozenJVM())
-    finally:
-        digest_mod.compute_state_digest = original
+    monkeypatch.setattr(IncrementalStateDigest, "compute",
+                        lambda self, include_env=True: StateDigest(base))
+    epochs["n"] = 2
+    with pytest.raises(DivergenceError) as excinfo:
+        verifier.check_slice(_FrozenJVM())
     assert excinfo.value.epoch == 2
     assert excinfo.value.components == ("heap",)
     assert verifier.epochs_verified == 1

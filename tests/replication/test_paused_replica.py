@@ -16,7 +16,7 @@ from repro.fleet.traffic import generate
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
 from repro.replication.core import Replayer
-from repro.replication.digest import LOCKSTEP_COMPONENTS, compute_state_digest
+from repro.runtime.digest import LOCKSTEP_COMPONENTS, compute_state_digest
 from repro.replication.machine import ReplicatedJVM
 from repro.replication.voting import VotingGroup
 

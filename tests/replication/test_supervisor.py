@@ -13,7 +13,7 @@ from repro.env.environment import Environment
 from repro.errors import AlreadyRanError, ReplicationError
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
-from repro.replication.digest import compute_state_digest
+from repro.runtime.digest import compute_state_digest
 from repro.replication.machine import run_unreplicated
 from repro.replication.supervisor import (
     ReplicaGroup,

@@ -19,7 +19,7 @@ from repro.errors import (
 )
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
-from repro.replication.digest import compute_state_digest
+from repro.runtime.digest import compute_state_digest
 from repro.replication.machine import run_unreplicated
 from repro.replication.supervisor import MemberState, default_generation_settings
 from repro.replication.voting import VotingGroup
