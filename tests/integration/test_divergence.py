@@ -9,10 +9,13 @@ threat the whole system exists to handle)."""
 import pytest
 
 from repro.env.environment import Environment
+from repro.errors import DivergenceError
 from repro.minijava import compile_program
+from repro.replication.config import ReplicationConfig
 from repro.replication.machine import (
     DEFAULT_BACKUP,
     DEFAULT_PRIMARY,
+    ReplicatedJVM,
     run_unreplicated,
 )
 from repro.runtime.jvm import JVMConfig
@@ -50,6 +53,63 @@ def test_unreplicated_replicas_diverge_without_coordination():
         )
         results.add(env.console.transcript())
     assert len(results) == 2
+
+
+#: Two workers race an unsynchronized read-modify-write on one field;
+#: every bit of the result lives in the heap, none in the statics.
+RACY_CELL = """
+    class Cell { int state; }
+    class Worker extends Thread {
+        Cell cell;
+        Worker(Cell c) { this.cell = c; }
+        void run() {
+            for (int i = 0; i < 400; i++) {
+                this.cell.state = this.cell.state * 3 + i;
+            }
+        }
+    }
+    class Main {
+        static void main(String[] args) {
+            Cell cell = new Cell();
+            Worker a = new Worker(cell);
+            Worker b = new Worker(cell);
+            a.start(); b.start(); a.join(); b.join();
+        }
+    }
+"""
+
+
+def _racy_cell(strategy, digest_interval=None):
+    machine = ReplicatedJVM(
+        compile_program(RACY_CELL), env=Environment(),
+        config=ReplicationConfig(strategy=strategy,
+                                 digest_interval=digest_interval))
+    assert machine.run("Main").final_result.ok
+    return machine
+
+
+def test_racy_cell_replays_to_the_same_state_under_thread_sched():
+    machine = _racy_cell("thread_sched")
+    assert machine.replay_backup("Main").ok
+    assert machine.backup_jvm.state_digest() == \
+        machine.primary_jvm.state_digest()
+
+
+def test_racy_cell_state_digest_sees_the_lock_sync_divergence():
+    """R4A is violated: the backup replays the lock order (there is
+    none) but not the interleaving, finishes cleanly, and holds another
+    state — which only a digest of that state can tell."""
+    machine = _racy_cell("lock_sync")
+    assert machine.replay_backup("Main").ok
+    assert machine.backup_jvm.state_digest() != \
+        machine.primary_jvm.state_digest()
+
+
+def test_racy_cell_final_digest_check_raises_under_lock_sync():
+    machine = _racy_cell("lock_sync", digest_interval=4)
+    with pytest.raises(DivergenceError) as excinfo:
+        machine.replay_backup("Main")
+    assert excinfo.value.components == ("heap",)
 
 
 def test_figure1_data_race_defeats_lock_replication():
