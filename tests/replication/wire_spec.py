@@ -67,3 +67,26 @@ def spec_checkpoint_value(v):
                            + spec_checkpoint_value(item)
                            for key, item in v.items()))
     return spec_leb128(8) + spec_leb128(v.oid)
+
+
+def spec_array_body(values):
+    """One array's body in a checkpoint payload: the element count, each
+    element through the checkpoint value codec, then a zero monitor flag
+    (no monitor block)."""
+    return (spec_leb128(len(values))
+            + b"".join(spec_checkpoint_value(v) for v in values) + b"\x00")
+
+
+def spec_token(v, vid_of):
+    """The state digest's token for one value.  A plain int is
+    ``i<decimal>``, and so is a bool (``iTrue``), which is why the digest
+    tells ``[True]`` from ``[1]``; references are named by visit id."""
+    if v is None:
+        return "null"
+    if isinstance(v, (bool, int)):
+        return f"i{v}"
+    if isinstance(v, float):
+        return f"f{v!r}"
+    if isinstance(v, str):
+        return f"s{v!r}"
+    return f"@{vid_of(v)}"
