@@ -36,7 +36,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Tuple
 
-from repro.runtime.values import JArray, JObject
+from repro.runtime.values import INT_ONLY, IntMemo, JArray, JObject
 
 _MASK = (1 << 128) - 1
 
@@ -97,6 +97,10 @@ class StateDigest:
         w = "|".join(f"{name}={mine[name]:032x}" for name in names
                      if name in mine)
         return _h("fp:" + w)
+
+
+#: A plain int's token; the ints from -1024 to 1023 are kept.
+_INT_TOKENS = IntMemo(lambda v: f"i{v}", -1024, 1024)
 
 
 def _scalar_token(value: Any, ref_id: Callable[[Any], int]) -> str:
@@ -241,7 +245,11 @@ def walk_state(jvm, env, cache: Dict[int, tuple],
                 continue
         deps = []
         if isinstance(obj, JArray):
-            body = ",".join(token(v) for v in obj.data)
+            data = obj.data
+            if INT_ONLY.issuperset(map(type, data)):
+                body = ",".join(map(_INT_TOKENS.__getitem__, data))
+            else:
+                body = ",".join(token(v) for v in data)
             obj_hash = _h(f"array:@{my_id}:{obj.elem_type}:[{body}]")
         else:
             body = ",".join(

@@ -17,7 +17,7 @@ digests canonical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 _INT_MASK = 0xFFFFFFFF
 _INT_SIGN = 0x80000000
@@ -151,3 +151,26 @@ def describe(value: Any) -> str:
     if isinstance(value, (JObject, JArray)):
         return repr(value)
     return f"{type_token_of(value)} {value!r}"
+
+
+#: The element types of an array the bulk codec and digest paths take.
+#: ``type(v)``, not ``isinstance``: a bool is an int to ``isinstance``.
+INT_ONLY = frozenset((int,))
+
+
+class IntMemo(dict):
+    """``fn(v)`` for plain ints ``v``, remembered for ``lo <= v < hi``
+    only, so the memo never grows past ``hi - lo`` entries.  Keyed by
+    value, and ``True == 1`` hash alike: pass it plain ints only."""
+
+    __slots__ = ("_fn", "_lo", "_hi")
+
+    def __init__(self, fn: Callable[[int], Any], lo: int, hi: int) -> None:
+        super().__init__()
+        self._fn, self._lo, self._hi = fn, lo, hi
+
+    def __missing__(self, v: int) -> Any:
+        out = self._fn(v)
+        if self._lo <= v < self._hi:
+            self[v] = out
+        return out
