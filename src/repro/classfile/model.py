@@ -12,6 +12,7 @@ trivially auditable.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -70,7 +71,8 @@ class JMethod:
         is_static / is_native / is_synchronized: flags per the JVM spec.
         code: the verified body; ``None`` exactly when ``is_native``.
         max_stack: operand-stack bound computed by the verifier.
-        declaring_class: back-reference filled in by :class:`JClass`.
+        declaring_class: back-reference filled in by :class:`JClass`,
+            held weakly (the class owns its methods).
     """
 
     def __init__(
@@ -97,7 +99,7 @@ class JMethod:
         self.is_static = is_static
         self.is_native = is_native
         self.is_synchronized = is_synchronized
-        self.declaring_class: Optional["JClass"] = None
+        self._declaring_class = None
         if code is not None:
             try:
                 self.max_stack = verify(code, is_static=is_static, nargs=nargs)
@@ -105,6 +107,11 @@ class JMethod:
                 raise VerifyError(f"method {name!r}: {err}") from None
         else:
             self.max_stack = 0
+
+    @property
+    def declaring_class(self) -> Optional["JClass"]:
+        ref = self._declaring_class
+        return ref() if ref is not None else None
 
     @property
     def qualified_name(self) -> str:
@@ -160,7 +167,7 @@ class JClass:
             raise ClassFormatError(
                 f"duplicate method {self.name}.{m.name}/{m.nargs}"
             )
-        m.declaring_class = self
+        m._declaring_class = weakref.ref(self)
         self.methods[key] = m
 
     def method_names(self):

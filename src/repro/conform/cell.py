@@ -204,11 +204,9 @@ def execute(spec: CellSpec, fault) -> Tuple[ReplicaSet, Any]:
     try:
         outcome = replicas.run(get_workload(spec.workload).main_class)
     finally:
-        # The pair owns its one transport for life (a socket's listener
-        # and connections); groups close each epoch's themselves.  The
-        # delivered log survives the close.
-        if isinstance(replicas, ReplicatedJVM):
-            replicas.close()
+        # Every kind ends the same way; what the checks read (the
+        # delivered log, reports, final machine) survives the close.
+        replicas.close()
     return replicas, outcome
 
 

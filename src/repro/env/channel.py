@@ -171,7 +171,8 @@ class Channel:
     def pending_records(self) -> int:
         return len(self._buffer)
 
-    def backup_log(self) -> List[bytes]:
-        """The log as the backup sees it after the primary's failure."""
+    def backup_log(self, start: int = 0) -> List[bytes]:
+        """The log as the backup sees it after the primary's failure,
+        from delivered record ``start`` on."""
         self.transport.drain()
-        return list(self.delivered)
+        return self.delivered[start:]

@@ -29,6 +29,8 @@ arrival schedule of :mod:`repro.fleet.traffic` in real time.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.env.environment import Environment
@@ -68,6 +70,11 @@ def key_of(request_text: str) -> int:
         raise ReplicationError(
             f"unroutable request, non-integer key: {request_text!r}"
         ) from exc
+
+
+def _on_divergence(degradation: DegradationController, shard: int,
+                   divergence) -> None:
+    degradation.on_divergence(shard, divergence)
 
 
 class Fleet:
@@ -136,12 +143,11 @@ class Fleet:
         #: engine at each shard's next safe-point.
         self.degradation: Optional[DegradationController] = None
         if self.voting:
-            self.degradation = DegradationController(self)
+            # Held weakly by what the fleet owns, like the factories.
+            self.degradation = DegradationController(weakref.proxy(self))
             for shard, group in enumerate(self.groups):
-                group.on_divergence = (
-                    lambda div, s=shard:
-                    self.degradation.on_divergence(s, div)
-                )
+                group.on_divergence = partial(
+                    _on_divergence, self.degradation, shard)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -149,6 +155,8 @@ class Fleet:
         """Wrap a transport spec so every transport any generation of
         this shard builds is registered with the fleet-wide mux (and
         the previous generation's is dropped)."""
+        mux, transports = self.mux, self._shard_transports
+
         def factory(generation: int) -> Transport:
             if isinstance(base_spec, Transport):
                 transport = base_spec.fresh()
@@ -158,11 +166,11 @@ class Fleet:
                              else make_transport(built))
             else:
                 transport = make_transport(base_spec)
-            old = self._shard_transports[shard]
+            old = transports[shard]
             if old is not None:
-                self.mux.unregister(old)
-            self.mux.register(transport)
-            self._shard_transports[shard] = transport
+                mux.unregister(old)
+            mux.register(transport)
+            transports[shard] = transport
             return transport
         return factory
 
@@ -215,10 +223,14 @@ class Fleet:
         return fm
 
     def stop(self) -> None:
-        """Deliver each shard its stop request and run it down."""
+        """Deliver each shard its stop request, run it down and close
+        it (:meth:`~repro.replication.core.ReplicaSet.close`): what a
+        stopped fleet reports stays readable, and nothing else waits
+        for the cyclic collector."""
         for shard, group in enumerate(self.groups):
             if group.serve_result is None:
                 group.stop_serving(f"stop-{shard} halt {shard}")
+            group.close()
 
     # ------------------------------------------------------------------
     def _account(self, fm: FleetServingMetrics,

@@ -550,15 +550,7 @@ def _monitor_tuple(oid: int, monitor) -> Tuple:
 
 def _thread_dict(t: JavaThread) -> Dict[str, Any]:
     blocked = t.blocked_on
-    if blocked is None:
-        blocked_oid = None
-    else:
-        if blocked.obj is None:
-            raise ReplicationError(
-                f"{t.vid_str} blocks on a monitor owned by no heap "
-                f"object — cannot checkpoint"
-            )
-        blocked_oid = blocked.obj.oid
+    blocked_oid = blocked.oid if blocked is not None else None
     frames = []
     for frame in t.frames:
         method = frame.method
@@ -1401,8 +1393,9 @@ def _apply_state(jvm: JVM, s: _SnapshotState) -> None:
             # An admission-parked thread can reference a monitor with no
             # serialized state of its own (nobody owns or queues on it
             # yet); materialize it lazily, as the sync manager would.
-            monitor = get_monitor(s.by_oid[t["blocked_on_oid"]])
-            threads_by_vid[t["vid"]].blocked_on = monitor
+            obj = s.by_oid[t["blocked_on_oid"]]
+            get_monitor(obj)
+            threads_by_vid[t["vid"]].blocked_on = obj
 
     # --- scheduler ------------------------------------------------------
     scheduler = jvm.scheduler

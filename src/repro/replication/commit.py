@@ -18,6 +18,7 @@ prove exactly-once output for *every* failure position.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import List, Optional
 
 from repro.env.channel import Channel
@@ -42,6 +43,34 @@ class CrashInjector:
             raise PrimaryCrashed(
                 f"fail-stop injected at event {self.events} ({label})"
             )
+
+
+def encode_batch(epoch: Optional[int], records) -> List[bytes]:
+    """Serialize one flush's worth of buffered records.
+
+    With a generation stamp, each record ships inside an
+    ``EpochRecord`` envelope — ``uvarint(KIND_EPOCH) + uvarint(epoch) +
+    uvarint(len(payload)) + payload``, the bytes
+    :meth:`EpochRecord.write` produces — built in one writer."""
+    if epoch is None:
+        return [encode(record) for record in records]
+    out = []
+    for record in records:
+        payload = encode(record)
+        out.append(Writer().uvarint(KIND_EPOCH).uvarint(epoch)
+                   .uvarint(len(payload)).raw(payload).bytes())
+    return out
+
+
+def _count_flush(metrics: ReplicationMetrics, n_records: int,
+                 n_bytes: int) -> None:
+    metrics.messages_sent += 1
+    metrics.records_sent += n_records
+    metrics.bytes_sent += n_bytes
+
+
+def _count_ack_wait(metrics: ReplicationMetrics) -> None:
+    metrics.ack_waits += 1
 
 
 class LogShipper:
@@ -70,16 +99,18 @@ class LogShipper:
         #: raises (:class:`~repro.errors.PrimaryOutvoted`,
         #: :class:`~repro.errors.QuorumLostError`) to veto the release.
         self.commit_gate = None
-        channel.on_flush = self._on_flush
-        channel.on_ack_wait = self._on_ack
-        channel.encoder = self._encode_batch
+        # The channel's hooks bind what they use, not the shipper that
+        # owns the channel: a dropped shipper is freed by refcount.
+        channel.on_flush = partial(_count_flush, metrics)
+        channel.on_ack_wait = partial(_count_ack_wait, metrics)
+        channel.encoder = partial(encode_batch, epoch)
 
     # ------------------------------------------------------------------
     def log(self, record) -> None:
         """Buffer one record for shipment to the backup.
 
         The record object itself is buffered; serialization happens in
-        one batch pass per flush (:meth:`_encode_batch`), so the hot
+        one batch pass per flush (:func:`encode_batch`), so the hot
         log call does no wire work.  Records are immutable dataclasses,
         so deferring the encoding cannot change the bytes."""
         self.injector.step(f"log:{type(record).__name__}")
@@ -88,21 +119,9 @@ class LogShipper:
             self.on_record(record)
 
     def _encode_batch(self, records) -> List[bytes]:
-        """Serialize one flush's worth of buffered records.
-
-        With a generation stamp, each record ships inside an
-        ``EpochRecord`` envelope — ``uvarint(KIND_EPOCH) +
-        uvarint(epoch) + uvarint(len(payload)) + payload``, the bytes
-        :meth:`EpochRecord.write` produces — built in one writer."""
-        if self.epoch is None:
-            return [encode(record) for record in records]
-        epoch = self.epoch
-        out = []
-        for record in records:
-            payload = encode(record)
-            out.append(Writer().uvarint(KIND_EPOCH).uvarint(epoch)
-                       .uvarint(len(payload)).raw(payload).bytes())
-        return out
+        """Serialize one flush's worth of buffered records (the
+        channel's ``encoder``, :func:`encode_batch`)."""
+        return encode_batch(self.epoch, records)
 
     @contextmanager
     def atomic(self):
@@ -157,15 +176,6 @@ class LogShipper:
         boundary (sender-side view of the shared log)."""
         self._channel.truncate_delivered(n_records)
         self.metrics.records_truncated += n_records
-
-    # ------------------------------------------------------------------
-    def _on_flush(self, n_records: int, n_bytes: int) -> None:
-        self.metrics.messages_sent += 1
-        self.metrics.records_sent += n_records
-        self.metrics.bytes_sent += n_bytes
-
-    def _on_ack(self) -> None:
-        self.metrics.ack_waits += 1
 
 
 class EpochFence:

@@ -53,6 +53,7 @@ nothing here sits on the per-slice or per-record paths
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
@@ -174,6 +175,15 @@ def parse_log(raw_records: List[bytes]) -> ParsedLog:
         else:
             parsed.extra.setdefault(type(record).__name__, []).append(record)
     return parsed
+
+
+def weakly(method: Callable) -> Callable:
+    """A bound ``method`` as a callback that does not keep its object
+    alive: how a part calls back into the replica set that owns it, so
+    that ownership stays a tree and a dropped set is freed by
+    reference counting."""
+    ref = weakref.WeakMethod(method)
+    return lambda *args: ref()(*args)
 
 
 # ======================================================================
@@ -682,7 +692,7 @@ class ReplicaSet:
                 checkpoint, self.registry, self.natives, session,
                 self._identity(self._epoch)[2], name="ckpt-verify",
                 se_manager=self._make_se_manager(),
-            )
+            ).discard()
         finally:
             session.destroy()
 
@@ -730,7 +740,7 @@ class ReplicaSet:
         fence = EpochFence(ep.number, ep.metrics)
         assembler = CheckpointAssembler()
         assembled: Optional[Checkpoint] = None
-        for data in fence.filter_raw(ep.channel.backup_log()[start:]):
+        for data in fence.filter_raw(ep.channel.backup_log(start)):
             record = decode_record(data)
             if isinstance(record, CheckpointChunkRecord):
                 assembled = assembler.feed(record) or assembled
@@ -762,7 +772,8 @@ class ReplicaSet:
             channel, metrics, CrashInjector(self._crash_at(number)),
             epoch=number if self.reintegrates else None,
         )
-        shipper.commit_gate = self._commit_gate
+        shipper.commit_gate = (weakly(self._commit_gate)
+                               if self._commit_gate is not None else None)
         report = self._new_report(primary_metrics=metrics,
                                   recovery_metrics=recovery_metrics)
         self.reports.append(report)
@@ -786,7 +797,9 @@ class ReplicaSet:
             report.checkpoint_chunks = len(chunks)
 
         ep.policy = PrimaryNativePolicy(shipper, metrics, se_manager)
-        ep.policy.on_output_propose = self._on_output_propose
+        ep.policy.on_output_propose = (
+            weakly(self._on_output_propose)
+            if self._on_output_propose is not None else None)
         jvm.native_policy = ep.policy
         self._strategy.make_primary(
             shipper, metrics, settings, jvm_config
@@ -815,10 +828,10 @@ class ReplicaSet:
                 generation=number,
                 chunk_bytes=self.chunk_bytes,
                 basis=self._ckpt,
-                verify_restore=(self._verify_restore
+                verify_restore=(weakly(self._verify_restore)
                                 if self.config.verify_checkpoints
                                 else None),
-                on_adopt=self._adopt_steady,
+                on_adopt=weakly(self._adopt_steady),
             )
             jvm.run_hooks = SteadyHooks(jvm.run_hooks, ep.steady)
         return ep
@@ -866,7 +879,9 @@ class ReplicaSet:
             # leavings exist only to be fenced.
             self._stale_raw.extend(raw)
         if self.reintegrates:
+            # The next epoch replaces this one: its primary is dead.
             ep.transport.close()
+            ep.jvm.discard()
 
     def _recover(self) -> None:
         """Build the next primary from the basis: restore the last
@@ -1100,3 +1115,44 @@ class ReplicaSet:
                 f"still serving after stop request {stop_request!r}"
             )
         return self._serve_result
+
+    # ==================================================================
+    # End of life
+    # ==================================================================
+    def _replicas(self):
+        """``(jvm, finished)`` for every machine this set still holds:
+        the active epoch's primary, a survivor, a machine waiting to be
+        armed (subclasses add their replayers)."""
+        ep = self._active
+        if ep is not None:
+            yield ep.jvm, ep.report.outcome == "completed"
+        if self._survivor is not None:
+            yield self._survivor.jvm, self._survivor.result is not None
+        if self._unarmed is not None:
+            yield self._unarmed[0], False
+
+    def close(self) -> None:
+        """End this set's life; safe to call more than once.
+
+        A machine that ran the program to completion (``final_jvm``
+        among them) is detached from its replication hooks and stays
+        readable; one stopped mid-run is discarded; the active
+        transport is closed (a socket's listener and connections; the
+        delivered log survives).  What stays readable: ``env``,
+        ``reports`` and their metrics, ``serve_result``,
+        ``failures_survived``, ``final_jvm`` (its state, digests and
+        counters), and what a subclass exposes over them (the pair's
+        ``transport`` and ``shipper``, a voting group's ``tally``).
+        Nothing the set built points back at it, so once dropped,
+        reference counting frees all of it."""
+        for jvm, finished in self._replicas():
+            if finished:
+                jvm.detach()
+            else:
+                jvm.discard()
+        if self._active is not None:
+            self._active.transport.close()
+        if isinstance(self._transport_spec, Transport):
+            # A transport handed over as the template is this set's own
+            # (the pair's one link), armed or not.
+            self._transport_spec.close()

@@ -39,6 +39,7 @@ mid-run comparison would be vacuous or false-positive.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -161,7 +162,8 @@ class DigestEmitter:
 
     def __init__(self, shipper, metrics, env, *,
                  interval: Optional[int], lockstep: bool) -> None:
-        self._shipper = shipper
+        # Weak: the shipper calls this emitter back (``on_record``).
+        self._shipper = weakref.proxy(shipper)
         self._metrics = metrics
         self._env = env
         self.interval = interval

@@ -194,10 +194,10 @@ class ReplicatedJVM(ReplicaSet):
             config=self.config.merged(**overrides),
         )
 
-    def close(self) -> None:
-        """Release transport resources (a socket transport's listener
-        and connections); the delivered log survives."""
-        self.transport.close()
+    def _replicas(self):
+        yield from super()._replicas()
+        if self._backup is not None and self._backup is not self._survivor:
+            yield self._backup.jvm, self._backup.result is not None
 
     def _build_backup(self, *, hold: bool, boot=None) -> Replayer:
         """A backup replica over everything delivered so far."""
@@ -220,10 +220,11 @@ class ReplicatedJVM(ReplicaSet):
             backup = self._build_backup(hold=True,
                                         boot=(self._main, self._args))
             outer_on_flush = ep.channel.on_flush
+            transport = ep.transport    # the channel holds this hook
 
             def pumping_flush(n_records: int, n_bytes: int) -> None:
                 outer_on_flush(n_records, n_bytes)
-                backup.pump(ep.channel.delivered)
+                backup.pump(transport.delivered)
 
             ep.channel.on_flush = pumping_flush
         return ep

@@ -191,6 +191,9 @@ class SteadyCheckpointer:
         native_seqs = (policy.native_seqs()
                        if hasattr(policy, "native_seqs") else None)
 
+        # Only what this emission ships is read back: everything from
+        # here on, not the whole retained log.
+        start = len(self._channel.delivered)
         if self.basis is None:
             full = take_checkpoint(
                 jvm, self._se_manager, generation=self.generation,
@@ -215,7 +218,7 @@ class SteadyCheckpointer:
                 metrics.delta_bytes += len(chunk.data)
         self._shipper.checkpoint_commit()
 
-        composed, delta = self._adopt_from_wire()
+        composed, delta = self._adopt_from_wire(start)
         if self._verify_restore is not None:
             self._verify_restore(composed)
         self.basis = composed
@@ -229,13 +232,14 @@ class SteadyCheckpointer:
         jvm.heap.advance_era()
 
     # ------------------------------------------------------------------
-    def _adopt_from_wire(self) -> Tuple[Checkpoint,
-                                        Optional[DeltaCheckpoint]]:
+    def _adopt_from_wire(self, start: int) -> Tuple[
+            Checkpoint, Optional[DeltaCheckpoint]]:
         """The receive half: reassemble the acknowledged transfer from
-        the *delivered wire records* (not the in-memory object), so
-        chunk framing and assembler idempotence are exercised on every
-        emission, then compose onto the basis."""
-        raw = self._channel.backup_log()
+        the *delivered wire records* from ``start`` on (not the
+        in-memory object), so chunk framing and assembler idempotence
+        are exercised on every emission, then compose onto the
+        basis."""
+        raw = self._channel.backup_log(start)
         if self._shipper.epoch is not None:
             raw = EpochFence(self._shipper.epoch,
                              self._metrics).filter_raw(raw)

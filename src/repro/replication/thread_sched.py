@@ -58,7 +58,7 @@ class PrimarySchedController(ScheduleController):
             return
         br_cnt, pc_off, mon_cnt = prev.progress_point()
         blocked = prev.blocked_on
-        l_asn = blocked.l_asn if blocked is not None else -1
+        l_asn = blocked.monitor.l_asn if blocked is not None else -1
         self._shipper.log(ScheduleRecord(
             br_cnt, pc_off, mon_cnt, l_asn, next_thread.vid, prev.vid
         ))

@@ -202,8 +202,11 @@ class Transport:
         self.drain()
 
     def close(self) -> None:
-        """Release transport resources; the delivered log survives."""
+        """Release transport resources and leave the mux; the
+        delivered log survives."""
         self.closed = True
+        if self.mux is not None:
+            self.mux.unregister(self)
 
     def fresh(self) -> "Transport":
         """A new, unused transport with the same configuration (used

@@ -59,6 +59,7 @@ stop it.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -80,6 +81,7 @@ from repro.replication.core import (
     ReplicaSet,
     promote,
     register_log_record,
+    weakly,
 )
 from repro.replication.digest import (
     DigestEmitter,
@@ -630,12 +632,16 @@ class _Follower(Replayer):
         super().__init__(
             group, group._member_identity(slot), role="follower",
             hold=True, basis=checkpoint, fence_epoch=group._epoch,
-            make_verifier=partial(_VotingVerifier, group, slot),
+            make_verifier=partial(_VotingVerifier, weakref.proxy(group),
+                                  slot),
             fed=fed_from,
         )
         self.gate_tail()
-        self.policy.on_output_hold = partial(group._on_output_hold, self)
-        slot.detector.reset(source=lambda: self.jvm.instructions)
+        # Hooks get what they use, never the follower or the group.
+        self.policy.on_output_hold = partial(
+            weakly(group._on_output_hold), slot, self.voted_seqs)
+        jvm = self.jvm
+        slot.detector.reset(source=lambda: jvm.instructions)
 
 
 class _DemotionBoundary(Exception):
@@ -721,8 +727,9 @@ class VotingGroup(ReplicaSet):
             self.digest_interval = 2
         self.variants = config.variants
         self.variant_fail_stop = config.variant_fail_stop
-        self._emitter_type = partial(_ProposingEmitter, self)
-        self._hooks_type = partial(_ProposerHooks, self)
+        # Parts hold the group weakly: it owns them.
+        self._emitter_type = partial(_ProposingEmitter, weakref.proxy(self))
+        self._hooks_type = partial(_ProposerHooks, weakref.proxy(self))
 
         engines = self._engine_cycle()
         self.slots: List[MemberSlot] = [
@@ -872,11 +879,13 @@ class VotingGroup(ReplicaSet):
         self._cast(slot, "output", index,
                    output_fingerprint(spec.signature, list(args)))
 
-    def _on_output_hold(self, follower: _Follower, jvm, spec, method,
-                        thread, intent) -> None:
-        if follower.voted_seqs.get(thread.vid) == intent.seq:
+    def _on_output_hold(self, slot: MemberSlot, voted_seqs: Dict[Vid, int],
+                        jvm, spec, method, thread, intent) -> None:
+        """A follower's ballot on the output its replaying thread holds
+        at; ``voted_seqs`` is that follower's dedup record."""
+        if voted_seqs.get(thread.vid) == intent.seq:
             return
-        follower.voted_seqs[thread.vid] = intent.seq
+        voted_seqs[thread.vid] = intent.seq
         index = tuple(thread.vid) + (intent.seq,)
         # The replaying thread stands right before the invoke: receiver
         # and arguments are still on the operand stack, exactly the
@@ -885,9 +894,9 @@ class VotingGroup(ReplicaSet):
         stack = thread.frames[-1].stack
         args = list(stack[-n_args:]) if n_args else []
         value = output_fingerprint(spec.signature, args)
-        if self.injector.lies_on_output(follower.slot.index) is not None:
+        if self.injector.lies_on_output(slot.index) is not None:
             value ^= 1                  # a bit-flipped follower's ballot
-        self._cast(follower.slot, "output", index, value)
+        self._cast(slot, "output", index, value)
 
     # ------------------------------------------------------------------
     # Verdict processing
@@ -968,6 +977,7 @@ class VotingGroup(ReplicaSet):
         follower = self._followers.pop(member, None)
         if follower is not None:
             follower.jvm.session.destroy()
+            follower.jvm.discard()
         self._rearm_pending.append(member)
 
     # ------------------------------------------------------------------
@@ -1088,7 +1098,13 @@ class VotingGroup(ReplicaSet):
     def _drop_followers(self) -> None:
         for follower in self._followers.values():
             follower.jvm.session.destroy()
+            follower.jvm.discard()
         self._followers = {}
+
+    def _replicas(self):
+        yield from super()._replicas()
+        for follower in self._followers.values():
+            yield follower.jvm, follower.result is not None
 
     def _seat(self, slot: MemberSlot, checkpoint: Checkpoint,
               fed_from: int) -> None:
@@ -1266,6 +1282,7 @@ class VotingGroup(ReplicaSet):
         ep.report.outcome = "demoted"
         self._finish_metrics(ep.jvm, ep.metrics, ep.transport)
         ep.jvm.session.destroy()
+        ep.jvm.discard()
         self._drop_followers()
         ep.transport.close()
         self._clear_ballots()

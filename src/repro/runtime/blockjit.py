@@ -3,9 +3,10 @@
 :func:`compile_block` turns one straight-line run of *plain* pre-decoded
 bytecodes (the region between two safe-point-relevant events — no
 control flow, no monitors) into a single generated Python function,
-``compile``d once and cached on the decoded stream.  It writes no
-opcode semantics of its own: each op is the row of
-:data:`~repro.runtime.optable.ROWS` that the interpreter's handler is
+cached on the decoded stream.  Its source is ``compile``d once per
+process; each interpreter binds its own names as the function's
+defaults.  It writes no opcode semantics of its own: each op is the row
+of :data:`~repro.runtime.optable.ROWS` that the interpreter's handler is
 rendered from, spliced here in the block discipline —
 
 * the operand stack is simulated at *compile* time — values flow
@@ -51,7 +52,9 @@ checks, exactly like ``engine="slice"``.
 
 from __future__ import annotations
 
+import builtins
 import re
+import types
 from typing import Optional
 
 from repro.bytecode.opcodes import SAFEPOINT_EVENT_OPS
@@ -70,6 +73,13 @@ MAX_RUN = 512
 BRANCH = object()
 
 _ATOM = re.compile(r"-?\d+|None|\w+")
+
+#: Compiled block functions by generated source, once per process: the
+#: same run of the same program renders the same source in every
+#: interpreter, which binds its own names as the function's defaults.
+_CODE: dict = {}
+#: A block loads nothing global but builtins.
+_GLOBALS = {"__builtins__": builtins}
 
 
 class CompiledBlock:
@@ -143,8 +153,8 @@ class _BlockEmitter(Emitter):
             self.emit(action, depth)
             return
         if self.heavy:
-            self.bind("jvm")
-            self.emit(f"jvm.heavy_ops += {self.heavy}", depth)
+            self.bind("heavy")
+            self.emit(f"heavy.n += {self.heavy}", depth)
         self.emit(f"return ({self.i + 1}, {action[7:]})", depth)
 
     def op(self, i: int, row: Row, arg) -> None:
@@ -192,8 +202,8 @@ class _BlockEmitter(Emitter):
         virtual stack."""
         self.emit(f"frame.pc = {pc}")
         if self.heavy:
-            self.bind("jvm")
-            self.emit(f"jvm.heavy_ops += {self.heavy}")
+            self.bind("heavy")
+            self.emit(f"heavy.n += {self.heavy}")
         for expr in self.vs:
             self.emit(f"S.append({expr})")
         self.vs = []
@@ -230,6 +240,11 @@ def compile_block(interp, stream, entry: int) -> Optional[CompiledBlock]:
         cmp, target = decode(row, instrs[end].operands)
         em.fuse(size, end, row, cmp, target)
     src = em.render(size)
-    gbls = dict(em.binds)
-    exec(compile(src, f"<block {stream.code.uid}:{entry}>", "exec"), gbls)
-    return CompiledBlock(size + (row is not None), gbls["__block__"])
+    code = _CODE.get(src)
+    if code is None:
+        module = compile(src, f"<block {stream.code.uid}:{entry}>", "exec")
+        code = _CODE[src] = next(c for c in module.co_consts
+                                 if isinstance(c, types.CodeType))
+    # Bind this interpreter's names as the defaults, in signature order.
+    fn = types.FunctionType(code, _GLOBALS, None, tuple(em.binds.values()))
+    return CompiledBlock(size + (row is not None), fn)

@@ -25,6 +25,7 @@ the config; because of the two mitigations its timing is harmless.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, List
 
 from repro.errors import RestrictionViolation
@@ -51,13 +52,14 @@ class Collector:
     """Mark-sweep collector bound to one JVM."""
 
     def __init__(self, jvm) -> None:
-        self._jvm = jvm
+        #: Weak: the JVM owns its collector, not the reverse.
+        self._jvm = weakref.ref(jvm)
         self.stats = GCStats()
 
     # ------------------------------------------------------------------
     def collect(self) -> int:
         """Run one stop-the-world collection; returns cells freed."""
-        jvm = self._jvm
+        jvm = self._jvm()
         heap = jvm.heap
         strong_soft = jvm.config.soft_refs_strong
 
@@ -127,7 +129,8 @@ class Collector:
         """
         if not isinstance(obj, JObject):
             return
-        registry = self._jvm.registry
+        jvm = self._jvm()
+        registry = jvm.registry
         try:
             method = registry.lookup_method(obj.class_name, "finalize", 0)
         except Exception:
@@ -135,10 +138,10 @@ class Collector:
         if method.declaring_class.name == "Object":
             return
         self.stats.finalizers_run += 1
-        self._jvm.run_detached(
+        jvm.run_detached(
             method,
             [obj],
-            budget=self._jvm.config.finalizer_budget,
+            budget=jvm.config.finalizer_budget,
             forbid_sync=True,
             what=f"finalizer of {obj.class_name}",
         )

@@ -32,6 +32,15 @@ below.  Three dispatch disciplines run those semantics:
   identical semantics, for detached contexts and for the
   ``engine="step"`` reference loop.
 
+Ownership: a decoded stream holds its handlers, and a live frame holds
+its stream, so nothing a handler binds may hold a stream or the JVM.
+The hand-written event ops and the slow paths the table's rows bind
+live on :class:`Semantics`, which holds no stream and reaches its JVM
+through a weak reference; the :class:`Interpreter` owns the streams and
+holds its JVM weakly too.  The JVM is the one owner of both, so a
+dropped JVM is freed by reference counting.  Both dereference the JVM
+once per slice or on a slow path, never per bytecode.
+
 Counter discipline (replication-critical):
 
 * ``thread.br_cnt`` increments on every executed control-flow-change
@@ -56,11 +65,12 @@ All of it is dropped when the class registry's version moves.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Dict, Optional
 
 from repro.bytecode.methodref import MethodRef, parse_method_ref
 from repro.bytecode.opcodes import OP_INFO, SAFEPOINT_EVENT_OPS, Op
-from repro.errors import ReproError
+from repro.errors import LinkageError, ReproError
 from repro.runtime.blockjit import BRANCH, compile_block
 from repro.runtime.frames import Frame
 from repro.runtime.optable import ROWS, bind_handler, decode, environment
@@ -119,8 +129,8 @@ class _InvokeSite:
     receiver class seen (monomorphic inline cache).  The matching
     intrinsic lookup is cached alongside the method so the hot path
     never rebuilds the ``(class, name, nargs)`` key.  Sites live inside
-    an interpreter's decoded streams, so they can never leak a bound
-    method or intrinsic across replicas.
+    an interpreter's decoded streams, so one replica's resolutions never
+    reach another; an intrinsic is a plain function shared by all.
     """
 
     __slots__ = ("op", "ref", "nargs", "method", "intrinsic",
@@ -141,18 +151,22 @@ class Interpreter:
     """Executes bytecodes against one JVM instance."""
 
     def __init__(self, jvm) -> None:
-        self._jvm = jvm
+        #: The owning JVM, dereferenced once per slice (module doc).
+        self._jvm = weakref.ref(jvm)
         self._registry = jvm.registry
         self._heap = jvm.heap
-        self._sync = jvm.sync
+        self._scheduler = jvm.scheduler
         self._ref_cache: Dict[str, MethodRef] = {}
         #: Decoded streams keyed by ``Code.uid`` — per interpreter, so
         #: bound handlers and inline caches never cross replicas even
         #: though the class registry (and its Code objects) are shared.
         self._code_cache: Dict[int, list] = {}
         self._new_checked: set = set()
+        #: The event ops and slow paths the streams bind.
+        self.semantics = semantics = Semantics(jvm)
+        self.throw_new = semantics.throw_new
         #: What the table's handlers and block splices bind (optable).
-        self._env = environment(self)
+        self._env = environment(jvm, semantics, self._new_checked)
         #: ``(op, cmp token)`` -> ``(kind, handler)``, bound on first use.
         self._handlers: dict = {}
         self._registry_version = self._registry.version
@@ -189,7 +203,7 @@ class Interpreter:
             # running one instruction; mirror that exactly.
             end = self.run_slice(thread, controller=controller, budget=1)
             return SliceEnd.QUANTUM if end is SliceEnd.BUDGET else end
-        jvm = self._jvm
+        jvm = self._jvm()
         heap = self._heap
         track = controller is not None
         check_preempt = track and controller.needs_preempt_checks
@@ -395,8 +409,15 @@ class Interpreter:
                 kind = _K_MON if OP_INFO[op].is_monitor else _K_CF
             bound = self._handlers[op, cmp] = (kind, (
                 bind_handler((op, cmp), self._env) if row is not None
-                else getattr(self, f"_op_{op.value}")))
+                else getattr(self.semantics, f"_op_{op.value}")))
         return (*bound, arg)
+
+    def _method_ref(self, operand: str) -> MethodRef:
+        ref = self._ref_cache.get(operand)
+        if ref is None:
+            ref = parse_method_ref(operand)
+            self._ref_cache[operand] = ref
+        return ref
 
     def _warm(self, stream, pc: int):
         """Count one more entry at ``pc`` of a run with no block yet;
@@ -422,10 +443,24 @@ class Interpreter:
         """
         self._code_cache.clear()
         self._new_checked.clear()
-        for t in self._jvm.scheduler.threads:
+        for t in self._scheduler.threads:
             for fr in t.frames:
                 fr.decoded = None
         self._registry_version = self._registry.version
+
+
+class Semantics:
+    """What the decoded streams bind: the hand-written safe-point event
+    ops and the slow paths of the table's rows.  It holds no stream and
+    only a weak reference to its JVM (module doc, "Ownership")."""
+
+    def __init__(self, jvm) -> None:
+        self._jvm = weakref.ref(jvm)
+        self._registry = jvm.registry
+        self._heap = jvm.heap
+        self._sync = jvm.sync
+        self._intrinsics = jvm.intrinsics
+        self._static_slots: Dict[tuple, tuple] = {}
 
     # ==================================================================
     # Java exception machinery
@@ -455,7 +490,7 @@ class Interpreter:
                 return StepResult.CONTINUE
             self._release_frame_monitors(thread, frame)
             thread.frames.pop()
-        return self._jvm.thread_uncaught(thread, exc)
+        return self._jvm().thread_uncaught(thread, exc)
 
     def _find_handler(self, frame: Frame, exc: JObject) -> Optional[int]:
         pc = frame.pc
@@ -496,6 +531,28 @@ class Interpreter:
 
     def _npe(self, thread, what: str) -> StepResult:
         return self.throw_new(thread, "NullPointerException", what)
+
+    def static_slot(self, class_name: str, field_name: str) -> tuple:
+        """The ``jvm.statics`` key of a static field named from
+        ``class_name``: the declaring class's (the GETSTATIC/PUTSTATIC
+        rows cache it in their cell)."""
+        key = (class_name, field_name)
+        slot = self._static_slots.get(key)
+        if slot is None:
+            cls = self._registry.resolve(class_name)
+            while cls is not None:
+                f = cls.fields.get(field_name)
+                if f is not None and f.is_static:
+                    slot = (cls.name, field_name)
+                    break
+                cls = cls.superclass
+            if slot is None:
+                raise LinkageError(
+                    f"no static field {field_name!r} in {class_name!r} "
+                    f"hierarchy"
+                )
+            self._static_slots[key] = slot
+        return slot
 
     # ==================================================================
     # Monitors
@@ -549,13 +606,6 @@ class Interpreter:
     # ==================================================================
     # Invocation
     # ==================================================================
-    def _method_ref(self, operand: str) -> MethodRef:
-        ref = self._ref_cache.get(operand)
-        if ref is None:
-            ref = parse_method_ref(operand)
-            self._ref_cache[operand] = ref
-        return ref
-
     def _op_invoke(self, thread, frame, site):
         ref = site.ref
         op = site.op
@@ -566,9 +616,9 @@ class Interpreter:
             receiver = None
             method = site.method
             if method is None:
-                method = self._jvm.resolve_static_method(ref)
+                method = self._jvm().resolve_static_method(ref)
                 site.method = method
-                site.intrinsic = self._jvm.intrinsics.get(
+                site.intrinsic = self._intrinsics.get(
                     (method.declaring_class.name, method.name, nargs)
                 )
             intrinsic = site.intrinsic
@@ -585,7 +635,7 @@ class Interpreter:
                         ref.class_name, ref.method_name, nargs
                     )
                     site.method = method
-                    site.intrinsic = self._jvm.intrinsics.get(
+                    site.intrinsic = self._intrinsics.get(
                         (method.declaring_class.name, method.name, nargs)
                     )
                 intrinsic = site.intrinsic
@@ -601,7 +651,7 @@ class Interpreter:
                     method = self._registry.lookup_method(
                         dyn_class, ref.method_name, nargs
                     )
-                    intrinsic = self._jvm.intrinsics.get(
+                    intrinsic = self._intrinsics.get(
                         (method.declaring_class.name, method.name, nargs)
                     )
                     site.vclass = dyn_class
@@ -611,13 +661,15 @@ class Interpreter:
         # Intrinsics (wait/notify/thread ops) manage the stack themselves
         # because several of them suspend mid-instruction.
         if intrinsic is not None:
-            return intrinsic(thread, frame, method, receiver, nargs)
+            return intrinsic(self._jvm(), thread, frame, method, receiver,
+                             nargs)
 
         # Hot backups pause on natives whose log record has not arrived
         # yet — checked before any state (stack, monitors) changes, so
         # the invoke retries cleanly.
-        if method.is_native and self._jvm.native_policy.would_starve(
-            self._jvm, method, thread
+        jvm = self._jvm() if method.is_native else None
+        if jvm is not None and jvm.native_policy.would_starve(
+            jvm, method, thread
         ):
             thread.br_cnt -= 1
             thread.instructions -= 1
@@ -628,7 +680,7 @@ class Interpreter:
         sync_target = None
         if method.is_synchronized:
             sync_target = (
-                self._jvm.class_lock_object(method.declaring_class.name)
+                self._jvm().class_lock_object(method.declaring_class.name)
                 if method.is_static
                 else receiver
             )
@@ -648,8 +700,8 @@ class Interpreter:
             stack.pop()
             args = [receiver] + args
 
-        if method.is_native:
-            return self._jvm.invoke_native(
+        if jvm is not None:
+            return jvm.invoke_native(
                 thread, frame, method, receiver, args, sync_target
             )
 
@@ -673,7 +725,8 @@ class Interpreter:
         self._release_frame_monitors(thread, frame)
         thread.frames.pop()
         if not thread.frames:
-            return self._jvm.thread_finished(thread, value if push else None)
+            return self._jvm().thread_finished(thread,
+                                               value if push else None)
         caller = thread.frames[-1]
         if push:
             caller.stack.append(value)

@@ -18,6 +18,7 @@ non-replicated behaviour:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -36,6 +37,8 @@ from repro.runtime.frames import Frame
 from repro.runtime.gc import Collector
 from repro.runtime.heap import Heap
 from repro.runtime.interpreter import Interpreter, StepResult
+from repro.runtime.intrinsics import INTRINSICS
+from repro.runtime.optable import HeavyOps
 from repro.runtime.natives import (
     NativeContext,
     NativeOutcome,
@@ -43,7 +46,7 @@ from repro.runtime.natives import (
     call_native,
 )
 from repro.runtime.scheduler import Scheduler, SliceEnd
-from repro.runtime.sync import EnterResult, SyncManager
+from repro.runtime.sync import SyncManager
 from repro.runtime.threads import ROOT_VID, JavaThread, ThreadState
 from repro.runtime.values import JArray, JObject
 
@@ -130,7 +133,16 @@ class RunHooks:
 
 
 class JVM:
-    """One virtual machine instance."""
+    """One virtual machine instance.
+
+    It owns its parts — heap, scheduler, monitors, collector,
+    interpreter — and none of them refers back to it strongly, so the
+    JVM and everything it owns are freed by reference counting when its
+    last owner drops it (see :mod:`repro.runtime.interpreter`,
+    "Ownership")."""
+
+    #: Library methods implemented by the JVM itself.
+    intrinsics = INTRINSICS
 
     def __init__(
         self,
@@ -151,35 +163,27 @@ class JVM:
                 f"expected 'step', 'slice', or 'block'"
             )
 
-        from repro.runtime.scheduler import ScheduleController
-
         self.heap = Heap(registry, self.config.heap_gc_threshold)
-        self.scheduler = Scheduler(
-            self.now_ms,
-            ScheduleController(
-                seed=self.config.scheduler_seed,
-                quantum_base=self.config.quantum_base,
-                quantum_jitter=self.config.quantum_jitter,
-            ),
-        )
+        owner = weakref.ref(self)
+        self.scheduler = Scheduler(lambda: owner().now_ms(),
+                                   self._default_controller())
         self.sync = SyncManager(self.scheduler)
         self.sync.heap = self.heap
+        self.statics: Dict[Tuple[str, str], Any] = {}
+        #: "Heavy" bytecodes executed (array element access, float
+        #: arithmetic): these cost more host cycles per dispatch in a
+        #: real interpreter, which the cost model uses to weight base
+        #: execution time per workload.  Read as ``heavy_ops``.
+        self.heavy = HeavyOps()
         self.collector = Collector(self)
         self.interpreter = Interpreter(self)
         self.native_policy = DirectNativePolicy()
         self.run_hooks = RunHooks()
 
         self.instructions = 0
-        #: "Heavy" bytecodes executed (array element access, float
-        #: arithmetic): these cost more host cycles per dispatch in a
-        #: real interpreter, which the cost model uses to weight base
-        #: execution time per workload.
-        self.heavy_ops = 0
         #: Total native invocations (each costs a JNI-style transition).
         self.native_calls = 0
         self._time_skew_ms = 0.0
-        self.statics: Dict[Tuple[str, str], Any] = {}
-        self._static_slot_cache: Dict[Tuple[str, str], Tuple[str, str]] = {}
         self._class_locks: Dict[str, JObject] = {}
         self.threads_by_oid: Dict[int, JavaThread] = {}
         self.threads_by_vid: Dict[Tuple[int, ...], JavaThread] = {}
@@ -188,8 +192,15 @@ class JVM:
         self.uncaught: List[Tuple[str, str, str]] = []
         self._bootstrapped = False
 
-        self.intrinsics = self._build_intrinsics()
         self._init_statics()
+
+    @property
+    def heavy_ops(self) -> int:
+        return self.heavy.n
+
+    @heavy_ops.setter
+    def heavy_ops(self, value: int) -> None:
+        self.heavy.n = value
 
     # ==================================================================
     # Time
@@ -211,30 +222,6 @@ class JVM:
             for f in cls.fields.values():
                 if f.is_static:
                     self.statics[(class_name, f.name)] = default_value(f.type)
-
-    def _static_slot(self, class_name: str, field_name: str) -> Tuple[str, str]:
-        key = (class_name, field_name)
-        slot = self._static_slot_cache.get(key)
-        if slot is None:
-            cls = self.registry.resolve(class_name)
-            while cls is not None:
-                f = cls.fields.get(field_name)
-                if f is not None and f.is_static:
-                    slot = (cls.name, field_name)
-                    break
-                cls = cls.superclass
-            if slot is None:
-                raise LinkageError(
-                    f"no static field {field_name!r} in {class_name!r} hierarchy"
-                )
-            self._static_slot_cache[key] = slot
-        return slot
-
-    def get_static(self, class_name: str, field_name: str) -> Any:
-        return self.statics[self._static_slot(class_name, field_name)]
-
-    def put_static(self, class_name: str, field_name: str, value: Any) -> None:
-        self.statics[self._static_slot(class_name, field_name)] = value
 
     # ==================================================================
     # Class lock objects (static synchronized methods)
@@ -508,6 +495,46 @@ class JVM:
                 )
 
     # ==================================================================
+    # End of life
+    # ==================================================================
+    def detach(self) -> None:
+        """Uninstall the replication seams: the scheduler controller,
+        the admission controller, the native policy and the run hooks
+        go back to the non-replicated defaults.  Replication installs
+        parts that point back at this JVM; detaching is how their owner
+        lets go of a finished JVM it keeps readable.  Counters, state
+        and digests are unchanged."""
+        from repro.runtime.monitors import AdmissionController
+
+        self.scheduler.controller = self._default_controller()
+        self.sync.admission = AdmissionController()
+        self.native_policy = DirectNativePolicy()
+        self.run_hooks = RunHooks()
+
+    def _default_controller(self):
+        from repro.runtime.scheduler import ScheduleController
+
+        return ScheduleController(
+            seed=self.config.scheduler_seed,
+            quantum_base=self.config.quantum_base,
+            quantum_jitter=self.config.quantum_jitter,
+        )
+
+    def discard(self) -> None:
+        """End a JVM dropped mid-run (a crashed primary, a scratch
+        restore, a quarantined follower): detach it, then cut what a
+        live run links in a ring — each frame's decoded stream (whose
+        handlers hold the heap) and each monitor (whose queues hold
+        threads whose frames hold the object).  Reference counting then
+        frees the whole JVM.  It must not run again."""
+        self.detach()
+        for thread in self.scheduler.threads:
+            for frame in thread.frames:
+                frame.decoded = None
+        for obj in self.heap.objects:
+            obj.monitor = None
+
+    # ==================================================================
     # GC support
     # ==================================================================
     def gc_roots(self):
@@ -544,156 +571,6 @@ class JVM:
         produce equal digests.
         """
         return f"{compute_state_digest(self).fingerprint():032x}"
-
-    # ==================================================================
-    # Intrinsics
-    # ==================================================================
-    def _build_intrinsics(self):
-        return {
-            ("Object", "wait", 0): self._intr_wait,
-            ("Object", "timedWait", 1): self._intr_wait,
-            ("Object", "notify", 0): self._intr_notify_one,
-            ("Object", "notifyAll", 0): self._intr_notify_all,
-            ("Object", "hashCode", 0): self._intr_hash_code,
-            ("Object", "equals", 1): self._intr_equals,
-            ("Object", "toString", 0): self._intr_to_string,
-            ("Thread", "start", 0): self._intr_start,
-            ("Thread", "join", 0): self._intr_join,
-            ("Thread", "isAlive", 0): self._intr_is_alive,
-            ("Thread", "setDaemon", 1): self._intr_set_daemon,
-            ("Thread", "stop", 0): self._intr_stop,
-            ("Thread", "sleep", 1): self._intr_sleep,
-            ("Thread", "yield", 0): self._intr_yield,
-            ("Thread", "currentThread", 0): self._intr_current_thread,
-            ("System", "gc", 0): self._intr_system_gc,
-        }
-
-    def _intr_wait(self, thread, frame, method, receiver, nargs):
-        if thread.reacquiring:
-            result = self.sync.reenter_after_wait(thread, receiver)
-            if result is EnterResult.ACQUIRED:
-                del frame.stack[len(frame.stack) - 1 - nargs:]
-                frame.pc += 1
-                return None
-            thread.br_cnt -= 1
-            thread.instructions -= 1
-            return (
-                StepResult.BLOCKED
-                if result is EnterResult.BLOCKED
-                else StepResult.PARKED
-            )
-        timeout = frame.stack[-1] if nargs == 1 else None
-        if not self.sync.wait(thread, receiver, timeout):
-            del frame.stack[len(frame.stack) - 1 - nargs:]
-            return self.interpreter.throw_new(
-                thread, "IllegalMonitorStateException", "wait without monitor"
-            )
-        return StepResult.WAITING
-
-    def _intr_notify_one(self, thread, frame, method, receiver, nargs):
-        return self._notify(thread, frame, receiver, all_waiters=False)
-
-    def _intr_notify_all(self, thread, frame, method, receiver, nargs):
-        return self._notify(thread, frame, receiver, all_waiters=True)
-
-    def _notify(self, thread, frame, receiver, *, all_waiters):
-        frame.stack.pop()
-        if not self.sync.notify(thread, receiver, all_waiters=all_waiters):
-            return self.interpreter.throw_new(
-                thread, "IllegalMonitorStateException", "notify without monitor"
-            )
-        frame.pc += 1
-        return None
-
-    def _intr_hash_code(self, thread, frame, method, receiver, nargs):
-        frame.stack[-1] = receiver.oid & 0x7FFFFFFF
-        frame.pc += 1
-        return None
-
-    def _intr_equals(self, thread, frame, method, receiver, nargs):
-        other = frame.stack.pop()
-        frame.stack[-1] = 1 if frame.stack[-1] is other else 0
-        frame.pc += 1
-        return None
-
-    def _intr_to_string(self, thread, frame, method, receiver, nargs):
-        frame.stack[-1] = f"{receiver.class_name}@{receiver.oid}"
-        frame.pc += 1
-        return None
-
-    def _intr_start(self, thread, frame, method, receiver, nargs):
-        frame.stack.pop()
-        if receiver.oid in self.threads_by_oid:
-            return self.interpreter.throw_new(
-                thread, "IllegalStateException", "thread already started"
-            )
-        run_method = self.registry.lookup_method(receiver.class_name, "run", 0)
-        child = JavaThread(
-            thread.child_vid(),
-            receiver,
-            is_daemon=self._daemon_requests.pop(receiver.oid, False),
-        )
-        child.frames.append(Frame(run_method, [receiver]))
-        self.threads_by_oid[receiver.oid] = child
-        self.threads_by_vid[child.vid] = child
-        self.scheduler.register(child)
-        self.scheduler.make_runnable(child)
-        frame.pc += 1
-        return None
-
-    def _intr_join(self, thread, frame, method, receiver, nargs):
-        target = self.threads_by_oid.get(receiver.oid)
-        frame.stack.pop()
-        frame.pc += 1
-        if target is None or target.state is ThreadState.TERMINATED:
-            return None
-        target.joiners.append(thread)
-        thread.state = ThreadState.WAITING
-        thread.blocked_on = None
-        return StepResult.WAITING
-
-    def _intr_is_alive(self, thread, frame, method, receiver, nargs):
-        target = self.threads_by_oid.get(receiver.oid)
-        frame.stack[-1] = 1 if target is not None and target.alive else 0
-        frame.pc += 1
-        return None
-
-    def _intr_set_daemon(self, thread, frame, method, receiver, nargs):
-        value = frame.stack.pop()
-        frame.stack.pop()
-        self._daemon_requests[receiver.oid] = bool(value)
-        frame.pc += 1
-        return None
-
-    def _intr_stop(self, thread, frame, method, receiver, nargs):
-        raise RestrictionViolation(
-            "R1", "Thread.stop is deprecated and unsupported (paper §3.1)"
-        )
-
-    def _intr_sleep(self, thread, frame, method, receiver, nargs):
-        ms = frame.stack.pop()
-        frame.pc += 1
-        if ms <= 0:
-            return None
-        thread.state = ThreadState.TIMED_WAITING
-        thread.wakeup_time = self.now_ms() + ms
-        thread.blocked_on = None
-        return StepResult.WAITING
-
-    def _intr_yield(self, thread, frame, method, receiver, nargs):
-        frame.pc += 1
-        return StepResult.YIELDED
-
-    def _intr_current_thread(self, thread, frame, method, receiver, nargs):
-        frame.stack.append(thread.thread_object)
-        frame.pc += 1
-        return None
-
-    def _intr_system_gc(self, thread, frame, method, receiver, nargs):
-        freed = self.collector.collect()
-        self.run_hooks.on_gc(self, freed)
-        frame.pc += 1
-        return None
 
 
 _SLICE_END_OF_STEP = {

@@ -31,13 +31,11 @@ class Monitor:
     """Monitor state for a single heap object."""
 
     __slots__ = ("owner", "recursion", "entry_queue", "wait_set", "l_id",
-                 "l_asn", "obj")
+                 "l_asn")
 
     def __init__(self) -> None:
-        #: Back-reference to the owning heap object (set by
-        #: :func:`get_monitor`); lets the sync layer stamp the object's
-        #: mutation era when monitor state changes.
-        self.obj = None
+        # No back-reference to the heap object: the object owns its
+        # monitor, and the sync layer is always handed the object.
         self.owner: Optional["JavaThread"] = None
         self.recursion = 0
         #: Threads blocked trying to enter, FIFO.
@@ -96,6 +94,5 @@ def get_monitor(obj) -> Monitor:
     monitor = obj.monitor
     if monitor is None:
         monitor = Monitor()
-        monitor.obj = obj
         obj.monitor = monitor
     return monitor

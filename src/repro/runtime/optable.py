@@ -25,8 +25,11 @@ one :class:`Row` of :data:`ROWS`:
 frame, arg)`` handler over the real operand stack that ``step()`` and
 ``run_slice`` dispatch.  Each handler's factory is compiled once per
 process, on first use (compiling all of them would add milliseconds to
-every import); each interpreter calls it to bind its heap, JVM and slow
-paths as closure cells, so a JVM's construction compiles nothing.  The
+every import); each interpreter calls it to bind its heap, statics,
+counters and slow paths as closure cells, so a JVM's construction
+compiles nothing.  None of them is the JVM itself: a handler lives in a
+stream the JVM owns, so binding the JVM would make every JVM a
+reference cycle.  The
 block compiler's subclass (:mod:`repro.runtime.blockjit`) splices the
 same rows over a compile-time virtual stack.  A handler pushes its
 final expression directly; a single-use input is popped where it is
@@ -100,17 +103,27 @@ HELPERS = {
 }
 
 
-def environment(interp) -> dict:
-    """The per-interpreter names a row may bind."""
-    jvm = interp._jvm
+class HeavyOps:
+    """``jvm.heavy_ops``: a counter cell of its own, so a handler can
+    bump it without binding the JVM."""
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
+
+
+def environment(jvm, semantics, new_checked: set) -> dict:
+    """The per-interpreter names a row may bind: parts of ``jvm`` and
+    the slow paths of its interpreter's ``semantics``."""
     heap = jvm.heap
     return {
-        "jvm": jvm, "heap": heap, "throw_new": interp.throw_new,
-        "npe": interp._npe,
-        "cached_instance": interp._cached_instance,
-        "new_checked": interp._new_checked, "resolve": jvm.registry.resolve,
+        "statics": jvm.statics, "heavy": jvm.heavy, "heap": heap,
+        "throw_new": semantics.throw_new, "npe": semantics._npe,
+        "cached_instance": semantics._cached_instance,
+        "new_checked": new_checked, "resolve": jvm.registry.resolve,
         "alloc_object": heap.alloc_object, "alloc_array": heap.alloc_array,
-        "static_slot": jvm._static_slot,
+        "static_slot": semantics.static_slot,
     }
 
 
@@ -196,11 +209,11 @@ ROWS: Dict[Op, Row] = {
         "field_miss({o}, {name})",
         "{o}.fields[{name}] = {v}", "{o}.mut_era = heap.era"],
         operands="name", helpers="npe JObject field_miss heap"),
-    Op.GETSTATIC: Row("", "jvm.statics[{s}]", body=_STATIC, operands="cell",
-                       decode=_cell, helpers="jvm static_slot"),
-    Op.PUTSTATIC: Row("v", body=_STATIC + ("jvm.statics[{s}] = {v}",),
+    Op.GETSTATIC: Row("", "statics[{s}]", body=_STATIC, operands="cell",
+                       decode=_cell, helpers="statics static_slot"),
+    Op.PUTSTATIC: Row("v", body=_STATIC + ("statics[{s}] = {v}",),
                        operands="cell", decode=_cell,
-                       helpers="jvm static_slot"),
+                       helpers="statics static_slot"),
     Op.INSTANCEOF: Row("v", "1 if cached_instance({v}, {cell}) else 0",
                         operands="cell", decode=_type_cell,
                         helpers="cached_instance"),
@@ -368,7 +381,7 @@ def _render_handler(row: Row, fname: str, cmp=None) -> str:
     em.body(row, names,
             lambda expr, depth: em.emit(f"S.append({expr})", depth))
     if row.heavy:
-        em.emit(f"jvm.heavy_ops += {row.heavy}")
+        em.emit(f"heavy.n += {row.heavy}")
     if not row.branch:
         em.emit("frame.pc += 1")
     elif row.cond is None:
@@ -381,7 +394,7 @@ def _render_handler(row: Row, fname: str, cmp=None) -> str:
 
 #: Every name :func:`environment` provides, in a fixed order.
 _ENV = sorted({h for row in ROWS.values() for h in row.helpers}
-              - HELPERS.keys() | {"jvm"})
+              - HELPERS.keys() | {"heavy"})
 
 #: Handler factories by handler key, compiled on first use in the
 #: process; an interpreter only calls them.

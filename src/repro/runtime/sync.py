@@ -66,11 +66,11 @@ class SyncManager:
         #: Largest l_asn observed on any single monitor (Table 2 row).
         self.largest_l_asn = 0
 
-    def _touch(self, monitor: Monitor) -> None:
-        """Mark the monitor's heap object dirty in the current era."""
+    def _touch(self, obj) -> None:
+        """Mark a monitor's heap object dirty in the current era."""
         heap = self.heap
-        if heap is not None and monitor.obj is not None:
-            monitor.obj.mut_era = heap.era
+        if heap is not None:
+            obj.mut_era = heap.era
 
     # ------------------------------------------------------------------
     # monitorenter
@@ -89,23 +89,23 @@ class SyncManager:
         if monitor.owner is thread:
             monitor.recursion += 1
             thread.mon_cnt += 1
-            self._touch(monitor)
+            self._touch(obj)
             return EnterResult.ACQUIRED
         if monitor.owner is not None:
-            self._block(thread, monitor)
+            self._block(thread, obj, monitor)
             return EnterResult.BLOCKED
         if not self.admission.may_acquire(thread, monitor):
-            self._park(thread, monitor)
+            self._park(thread, obj)
             return EnterResult.PARKED
-        self._complete_acquisition(thread, monitor, recursion=1)
+        self._complete_acquisition(thread, obj, monitor, recursion=1)
         return EnterResult.ACQUIRED
 
     def _complete_acquisition(
-        self, thread: JavaThread, monitor: Monitor, recursion: int
+        self, thread: JavaThread, obj, monitor: Monitor, recursion: int
     ) -> None:
         monitor.owner = thread
         monitor.recursion = recursion
-        self._touch(monitor)
+        self._touch(obj)
         if monitor.l_asn == 0:
             self.monitors_created += 1
         monitor.l_asn += 1
@@ -117,18 +117,18 @@ class SyncManager:
         self.admission.on_acquired(thread, monitor)
         self.reevaluate_parked()
 
-    def _block(self, thread: JavaThread, monitor: Monitor) -> None:
+    def _block(self, thread: JavaThread, obj, monitor: Monitor) -> None:
         if thread not in monitor.entry_queue:
             monitor.entry_queue.append(thread)
-            self._touch(monitor)
+            self._touch(obj)
         thread.state = ThreadState.BLOCKED
-        thread.blocked_on = monitor
+        thread.blocked_on = obj
 
-    def _park(self, thread: JavaThread, monitor: Monitor) -> None:
+    def _park(self, thread: JavaThread, obj) -> None:
         if thread not in self._parked:
             self._parked.append(thread)
         thread.state = ThreadState.PARKED
-        thread.blocked_on = monitor
+        thread.blocked_on = obj
 
     # ------------------------------------------------------------------
     # monitorexit
@@ -140,19 +140,19 @@ class SyncManager:
             return False
         thread.mon_cnt += 1
         monitor.recursion -= 1
-        self._touch(monitor)
+        self._touch(obj)
         if monitor.recursion == 0:
             monitor.owner = None
             self.admission.on_released(thread, monitor)
-            self._wake_entry_queue(monitor)
+            self._wake_entry_queue(obj, monitor)
             self.reevaluate_parked()
         return True
 
-    def _wake_entry_queue(self, monitor: Monitor) -> None:
+    def _wake_entry_queue(self, obj, monitor: Monitor) -> None:
         """Make every contender runnable; they retry their acquisition
         when scheduled (FIFO runnable queue keeps this deterministic)."""
         if monitor.entry_queue:
-            self._touch(monitor)
+            self._touch(obj)
         while monitor.entry_queue:
             contender = monitor.entry_queue.popleft()
             if contender.state is ThreadState.BLOCKED:
@@ -171,8 +171,8 @@ class SyncManager:
         monitor.recursion = 0
         monitor.owner = None
         monitor.wait_set.append(thread)
-        self._touch(monitor)
-        thread.blocked_on = monitor
+        self._touch(obj)
+        thread.blocked_on = obj
         if timeout_ms is not None and timeout_ms > 0:
             thread.state = ThreadState.TIMED_WAITING
             thread.wakeup_time = self._scheduler.now() + timeout_ms
@@ -180,7 +180,7 @@ class SyncManager:
             thread.state = ThreadState.WAITING
             thread.wakeup_time = None
         self.admission.on_released(thread, monitor)
-        self._wake_entry_queue(monitor)
+        self._wake_entry_queue(obj, monitor)
         self.reevaluate_parked()
         return True
 
@@ -189,15 +189,15 @@ class SyncManager:
         acquisition — the paper logs an l_asn for it)."""
         monitor = get_monitor(obj)
         if monitor.owner is not None:
-            self._block(thread, monitor)
+            self._block(thread, obj, monitor)
             return EnterResult.BLOCKED
         if not self.admission.may_acquire(thread, monitor):
-            self._park(thread, monitor)
+            self._park(thread, obj)
             return EnterResult.PARKED
         recursion = max(thread.saved_recursion, 1)
         thread.saved_recursion = 0
         thread.reacquiring = False
-        self._complete_acquisition(thread, monitor, recursion=recursion)
+        self._complete_acquisition(thread, obj, monitor, recursion=recursion)
         return EnterResult.ACQUIRED
 
     def notify(self, thread: JavaThread, obj, *, all_waiters: bool) -> bool:
@@ -213,16 +213,17 @@ class SyncManager:
         for _ in range(count):
             waiter = monitor.wait_set.popleft()
             self._resume_waiter(waiter)
-        self._touch(monitor)
+        self._touch(obj)
         return True
 
     def timeout_waiter(self, thread: JavaThread) -> None:
         """A TIMED_WAITING thread's deadline passed: leave the wait set
         and retry acquisition (or simply resume if it was sleeping)."""
-        monitor = thread.blocked_on
+        obj = thread.blocked_on
+        monitor = obj.monitor if obj is not None else None
         if monitor is not None and thread in monitor.wait_set:
             monitor.wait_set.remove(thread)
-            self._touch(monitor)
+            self._touch(obj)
             self._resume_waiter(thread)
         else:
             # plain Thread.sleep

@@ -75,7 +75,8 @@ class JavaThread:
         self.children_spawned = 0
         #: Virtual-time deadline while TIMED_WAITING (sleep / timed wait).
         self.wakeup_time: Optional[float] = None
-        #: Monitor this thread is blocked on / waiting in.
+        #: Heap object whose monitor this thread is blocked on / waiting
+        #: in.
         self.blocked_on = None
         #: True when the thread was notified (or timed out) and must
         #: re-acquire the monitor it waited on before continuing.

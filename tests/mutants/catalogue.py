@@ -33,6 +33,7 @@ WIRE = "repro/replication/wire.py"
 CHECKPOINT = "repro/replication/checkpoint.py"
 BULK = "tests/replication/test_bulk_arrays.py"
 HOSTILE = "tests/replication/test_checkpoint_hostile.py"
+LIFETIMES = "tests/integration/test_lifetimes.py"
 
 MUTANTS = (
     Mutant(
@@ -107,8 +108,8 @@ MUTANTS = (
         ("tests/replication/test_wire.py",), "killed"),
     Mutant(
         "commit-envelope-epoch-off-by-one", "repro/replication/commit.py",
-        "            out.append(Writer().uvarint(KIND_EPOCH).uvarint(epoch)\n",
-        "            out.append(Writer().uvarint(KIND_EPOCH)"
+        "        out.append(Writer().uvarint(KIND_EPOCH).uvarint(epoch)\n",
+        "        out.append(Writer().uvarint(KIND_EPOCH)"
         ".uvarint(epoch + 1)\n",
         ("tests/replication/test_codec_pins.py",), "killed"),
     Mutant(
@@ -148,4 +149,28 @@ MUTANTS = (
         '        "if {r} and ({a} < 0) != ({b} < 0): {r} -= {b}"],\n',
         '        "if {r} and ({a} < 0) == ({b} < 0): {r} -= {b}"],\n',
         ("tests/runtime/test_interpreter_ops.py",), "killed"),
+    Mutant(
+        "lifetime-collector-holds-its-jvm", "repro/runtime/gc.py",
+        "        self._jvm = weakref.ref(jvm)\n",
+        "        self._jvm = lambda: jvm\n",
+        (LIFETIMES,), "killed"),
+    Mutant(
+        "lifetime-semantics-holds-its-jvm", "repro/runtime/interpreter.py",
+        "        self._jvm = weakref.ref(jvm)\n        self._registry = "
+        "jvm.registry\n        self._heap = jvm.heap\n        self._sync",
+        "        self._jvm = lambda: jvm\n        self._registry = "
+        "jvm.registry\n        self._heap = jvm.heap\n        self._sync",
+        (LIFETIMES,), "killed"),
+    Mutant(
+        "lifetime-scratch-restore-kept", "repro/replication/core.py",
+        "            ).discard()\n",
+        "            )\n",
+        (LIFETIMES,), "killed"),
+    Mutant(
+        "lifetime-close-skips-followers", "repro/replication/voting.py",
+        "        for follower in self._followers.values():\n"
+        "            yield follower.jvm",
+        "        for follower in ():\n"
+        "            yield follower.jvm",
+        (LIFETIMES,), "killed"),
 )

@@ -24,6 +24,7 @@ from repro.fleet.traffic import TrafficSpec, generate
 from repro.minijava import compile_program
 from repro.replication.config import ReplicationConfig
 from repro.replication.machine import ReplicatedJVM
+from repro.replication.records import decode_record
 from repro.replication.supervisor import ReplicaGroup
 
 MULTI = """
@@ -310,3 +311,42 @@ def test_steady_basis_does_not_grow_with_requests_served():
     rids = [rid for rid, _ in group.env.responses.items()]
     assert len(rids) == 1400
     assert sum(rid.encode() in payload for rid in rids) <= 1
+
+
+def test_an_emission_reads_back_only_the_records_it_shipped(monkeypatch):
+    """Adoption reassembles the transfer from the records delivered
+    since the emission began, never the whole retained log before it
+    (those were read back by earlier emissions)."""
+    from repro.replication import steady
+
+    decoded = []
+    monkeypatch.setattr(steady, "decode_record", lambda data: (
+        decoded.append(data) or decode_record(data)))
+    emissions = []
+    real_emit = steady.SteadyCheckpointer.emit
+    real_adopt = steady.SteadyCheckpointer._adopt_from_wire
+
+    def emit(self, jvm):
+        emissions.append([len(self._channel.delivered)])
+        real_emit(self, jvm)
+
+    def adopt(self, *args):
+        mark = len(decoded)
+        out = real_adopt(self, *args)
+        retained = emissions[-1][0]
+        emissions[-1] += [len(self._channel.delivered) - retained,
+                          len(decoded) - mark]
+        return out
+
+    monkeypatch.setattr(steady.SteadyCheckpointer, "emit", emit)
+    monkeypatch.setattr(steady.SteadyCheckpointer, "_adopt_from_wire",
+                        adopt)
+    fleet = Fleet(1, config=ReplicationConfig(checkpoint_interval=4))
+    assert fleet.serve(TrafficSpec(n_requests=60, seed=5)).exactly_once
+    assert len(emissions) > 5
+    # The retained log held records at most emissions: reading it all
+    # back would have decoded them too.
+    assert sum(1 for retained, _, _ in emissions if retained) \
+        > len(emissions) // 2
+    for retained, shipped, read in emissions:
+        assert read == shipped, (retained, shipped, read)

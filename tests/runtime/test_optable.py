@@ -19,7 +19,7 @@ from repro.bytecode.opcodes import (
 from repro.env.environment import Environment
 from repro.minijava import compile_program
 from repro.runtime.blockjit import _BlockEmitter
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import Semantics
 from repro.runtime.jvm import JVM, JVMConfig
 from repro.runtime.optable import ROWS, bind_handler, decode
 from repro.runtime.stdlib import default_natives, new_program_registry
@@ -48,7 +48,7 @@ def _jvm():
 
 def test_every_opcode_is_an_event_op_or_one_row_with_its_stack_effect():
     for op in Op:
-        hand_written = hasattr(Interpreter, f"_op_{op.value}")
+        hand_written = hasattr(Semantics, f"_op_{op.value}")
         assert hand_written != (op in ROWS), op
         assert not hand_written or op in SAFEPOINT_EVENT_OPS, op
     for op, row in ROWS.items():
@@ -114,3 +114,30 @@ def test_a_block_splice_binds_every_name_its_row_uses(op):
     loaded = {i.argval for i in dis.get_instructions(namespace["__block__"])
               if i.opname == "LOAD_GLOBAL"}
     assert loaded <= set(dir(builtins)), loaded
+
+
+def _block_functions(jvm):
+    return [blk.fn for stream in jvm.interpreter._code_cache.values()
+            for blk in stream.blocks.values() if blk]
+
+
+def test_a_second_jvm_compiles_no_block(monkeypatch):
+    """Block source is compiled once per process: a second JVM running
+    the same program binds the first one's code objects to its own
+    names, and creates no code object."""
+    first_jvm = _run("block")
+    first = _block_functions(first_jvm)
+    calls = []
+    for name in ("compile", "exec"):
+        real = getattr(builtins, name)
+        monkeypatch.setattr(builtins, name, lambda *a, real=real, **k: (
+            calls.append(a) or real(*a, **k)))
+    second_jvm = _run("block")
+    second = _block_functions(second_jvm)
+    assert calls == []
+    assert first and len(second) == len(first)
+    codes = {id(fn.__code__) for fn in first}
+    for fn in second:
+        assert id(fn.__code__) in codes
+        assert fn not in first
+        assert first_jvm.heap not in fn.__defaults__
