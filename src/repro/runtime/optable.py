@@ -29,11 +29,10 @@ every import); each interpreter calls it to bind its heap, statics,
 counters and slow paths as closure cells, so a JVM's construction
 compiles nothing.  None of them is the JVM itself: a handler lives in a
 stream the JVM owns, so binding the JVM would make every JVM a
-reference cycle.  The
-block compiler's subclass (:mod:`repro.runtime.blockjit`) splices the
-same rows over a compile-time virtual stack.  A handler pushes its
-final expression directly; a single-use input is popped where it is
-used.
+reference cycle.  The block compiler's subclass
+(:mod:`repro.runtime.blockjit`) splices the same rows over a
+compile-time virtual stack.  A handler pushes its final expression
+directly; a single-use input is popped where it is used.
 """
 
 from __future__ import annotations
